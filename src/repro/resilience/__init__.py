@@ -4,47 +4,65 @@ The fault layer (``repro.faults``) recovers *messages* — a dropped
 fragment, a flipped bit, a codec hiccup.  This package recovers from a
 whole rank dying or wedging mid-FFT, the ULFM-style story:
 
-* :mod:`~repro.resilience.monitor` — heartbeat watchdog: per-rank
-  liveness beacons, deadline-tracked blocking ops, straggler / dead /
-  deadlock classification, structured :class:`~repro.resilience.monitor.FailureReport`;
-* :mod:`~repro.resilience.agreement` — fault-aware agreement on
-  liveness bitmaps (the ``MPIX_Comm_agree`` analogue) so survivors
-  shrink to the *same* communicator;
+* :mod:`~repro.resilience.control` — :class:`ControlState`, the one
+  ULFM control state both real runtimes share: abort flag and barrier,
+  per-rank beacons / pids / done flags / blocked-since stamps, the
+  failure registry, generational revocation, agreement slots and the
+  recovery timeline, in one fixed layout over an in-process buffer
+  (threads) or a named shared-memory segment (processes);
+* :mod:`~repro.resilience.monitor` — :class:`HeartbeatMonitor`, the one
+  watchdog: a view of the control state in a communicator's rank
+  numbering that classifies ranks (alive / straggler / deadlock / dead)
+  from beacons, blocked stamps and the world's liveness probe, and
+  builds the structured :class:`FailureReport`;
+* :mod:`~repro.resilience.agreement` — the one revoke / agree / shrink
+  implementation (:class:`UlfmComm`, :class:`SurvivorWorld`): survivors
+  agree on a liveness bitmap (the ``MPIX_Comm_agree`` analogue) and
+  shrink to the *same* communicator, one generation up;
 * :mod:`~repro.resilience.abft` — algorithm-based per-reshape checksums
   validated against the codec error budget;
 * :mod:`~repro.resilience.checkpoint` — CRC-framed pencil checkpoints in
   a world-shared store ("burst buffer") plus the shrink-and-restart
   driver for :class:`~repro.fft.plan.Fft3d`.
 
-Import discipline: the thread runtime imports :mod:`monitor` and
-:mod:`agreement`; :mod:`checkpoint` imports the runtime and the FFT
-layer back, so it is exposed lazily to keep the package cycle-free.
+Import discipline: the runtimes import :mod:`control`, :mod:`monitor`
+and :mod:`agreement`, which import nothing from the runtime layer;
+:mod:`checkpoint` imports the runtime and the FFT layer back, so it is
+exposed lazily to keep the package cycle-free.
 """
 
 from repro.resilience.abft import AbftChecksums, reshape_checksums, verify_checksums
-from repro.resilience.agreement import AgreementSpace, bitmap_ranks, ranks_bitmap
+from repro.resilience.agreement import (
+    SurvivorWorld,
+    UlfmComm,
+    UlfmWorld,
+    bitmap_ranks,
+    ranks_bitmap,
+)
+from repro.resilience.control import ControlState
 from repro.resilience.monitor import (
     STALL_CLASSIFICATIONS,
     FailureReport,
     HeartbeatMonitor,
     PhaseSpan,
     RankFailure,
-    RevocableBarrier,
 )
 
 __all__ = [
     "STALL_CLASSIFICATIONS",
     "AbftChecksums",
-    "AgreementSpace",
     "CheckpointStore",
+    "ControlState",
     "FailureReport",
     "HeartbeatMonitor",
     "PhaseSpan",
     "RankFailure",
     "ResilientFft3d",
-    "RevocableBarrier",
     "ShmCheckpointStore",
     "SpmdResult",
+    "SurvivorWorld",
+    "UlfmComm",
+    "UlfmWorld",
     "bitmap_ranks",
     "ranks_bitmap",
     "reshape_checksums",

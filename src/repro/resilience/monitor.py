@@ -3,42 +3,45 @@
 The fence-synchronised exchanges of the paper (Alg. 3) have the classic
 failure mode of bulk-synchronous code: one dead or wedged rank stalls
 every peer for the full window.  This module supplies the *detection*
-half of the fault-tolerance story:
+half of the fault-tolerance story, for both real runtimes:
 
 * every rank beacons (:meth:`HeartbeatMonitor.beat`) at each transport
   operation — and keeps beaconing while *blocked* in a receive or
   barrier, because a rank waiting on a dead peer is itself perfectly
   alive;
-* blocked operations register themselves (:meth:`HeartbeatMonitor.blocked`)
-  so a stall can be attributed to a specific (op, peer, tag);
+* blocked waits (recv, barrier, agreement) stamp the moment they began
+  into the control state, so a slow peer can be told apart from a wait
+  cycle;
 * :meth:`HeartbeatMonitor.poll` — run by whichever rank happens to be
   blocked, every wait quantum; no watchdog thread needed — declares a
-  rank dead when its beacon goes silent past ``suspect_after`` or its
-  thread has exited;
-* a stall is *classified*, not just timed out: ``dead`` (thread gone or
-  explicitly killed), ``deadlock`` (thread alive but silent — a wedged
-  rank, or every live rank blocked on another), ``straggler`` (peer
-  still beaconing, just slow).
+  rank dead when its beacon goes silent past ``suspect_after`` or the
+  world's liveness probe says its thread or process is gone;
+* a stall is *classified*, not just timed out: ``dead`` (rank gone or
+  explicitly killed), ``deadlock`` (alive but silent — a wedged rank,
+  or every live rank blocked on another), ``straggler`` (peer still
+  beaconing, just slow).
 
+Every fact lives in a :class:`~repro.resilience.control.ControlState`;
+a monitor is only a *view* of it in one communicator's rank numbering.
 Everything the watchdog concludes lands in a structured
 :class:`FailureReport` — which ranks failed, how each stall was
 classified, when detection happened, and the detect → agree → shrink →
 restart recovery timeline — instead of an opaque ``TimeoutError``.
 
-This module deliberately imports nothing from the runtime: the thread
-runtime imports *it*.
+This module deliberately imports nothing from the runtime: the runtimes
+import *it*.
 """
 
 from __future__ import annotations
 
-import threading
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
+from repro.resilience.control import ControlState
 from repro.telemetry.metrics import counter as metrics_counter
-from repro.telemetry.recorder import flight
+from repro.telemetry.recorder import flight, live_update
+from repro.trace.core import get_tracer
 
 __all__ = [
     "STALL_CLASSIFICATIONS",
@@ -46,7 +49,6 @@ __all__ = [
     "PhaseSpan",
     "FailureReport",
     "HeartbeatMonitor",
-    "RevocableBarrier",
 ]
 
 #: How a stalled rank can be classified by the watchdog.
@@ -177,136 +179,127 @@ class FailureReport:
 
 
 class HeartbeatMonitor:
-    """Per-world liveness registry (beacons, blocked ops, failures).
+    """Watchdog view of a :class:`ControlState` in one rank numbering.
 
     Parameters
     ----------
-    nranks:
-        World size.
+    state:
+        The world's control state (facts are keyed by original rank).
+    members:
+        Original rank of each of this view's dense ranks; the identity
+        for a world, the survivor map for a shrunk communicator.
     suspect_after:
         Beacon silence (seconds) after which a rank is declared dead by
         :meth:`poll`.  Kept well under the blocking-op timeout so a
         failure is *detected and classified* long before peers would
         have timed out on their own.
+    alive:
+        The world's liveness probe, called with an original rank:
+        ``Thread.is_alive`` for threads, pid liveness for processes.
+    runtime_label:
+        Stamped onto the ``repro_recoveries_total`` metric so dashboards
+        can tell thread-world drills from real process recoveries.
     """
 
-    #: Stamped onto the ``repro_recoveries_total`` metric so dashboards
-    #: can tell thread-world drills from real process recoveries.
-    runtime_label = "thread"
-
-    def __init__(self, nranks: int, *, suspect_after: float = 30.0) -> None:
-        self.nranks = int(nranks)
+    def __init__(
+        self,
+        state: ControlState,
+        members: tuple[int, ...] | None = None,
+        *,
+        suspect_after: float = 30.0,
+        alive: Callable[[int], bool] | None = None,
+        runtime_label: str = "thread",
+    ) -> None:
+        self.state = state
+        self.members = tuple(range(state.nranks)) if members is None else tuple(members)
+        self.nranks = len(self.members)
         self.suspect_after = float(suspect_after)
-        self._lock = threading.Lock()
-        self._t0 = time.monotonic()
-        self._started = False
-        self._beats = [0.0] * self.nranks
-        self._threads: dict[int, threading.Thread] = {}
-        self._done: set[int] = set()
-        self._failures: dict[int, RankFailure] = {}
-        # rank -> (op, peer, tag, since) while blocked in a wait loop
-        self._blocked: dict[int, tuple[str, int | None, int | None, float]] = {}
-        self._phase_spans: list[PhaseSpan] = []
+        self.runtime_label = runtime_label
+        self._alive = alive
+        self._index = {g: r for r, g in enumerate(self.members)}
+        # Failure records never change once written: one object per rank.
+        self._known: dict[int, RankFailure] = {}
 
-    # -- clock --------------------------------------------------------------------
+    def view(self, members: tuple[int, ...]) -> "HeartbeatMonitor":
+        """The same watchdog over ``members`` (original ranks)."""
+        return HeartbeatMonitor(
+            self.state,
+            members,
+            suspect_after=self.suspect_after,
+            alive=self._alive,
+            runtime_label=self.runtime_label,
+        )
 
-    def now(self) -> float:
-        """Seconds since monitor creation (the report's time base)."""
-        return time.monotonic() - self._t0
-
-    # -- liveness beacons ----------------------------------------------------------
+    # -- beacons -----------------------------------------------------------------------
 
     def start(self) -> None:
         """Arm the watchdog (all beacons reset to *now*)."""
-        with self._lock:
-            now = self.now()
-            self._beats = [now] * self.nranks
-            self._started = True
+        self.state.start()
 
     def beat(self, rank: int) -> None:
-        """Liveness beacon from ``rank`` (called at every transport op)."""
-        # A plain float store is atomic under the GIL; no lock on the hot path.
-        self._beats[rank] = self.now()
-
-    def beat_age(self, rank: int) -> float:
-        """Seconds since ``rank`` last beaconed."""
-        return self.now() - self._beats[rank]
-
-    def register_thread(self, rank: int, thread: threading.Thread) -> None:
-        """Associate ``rank`` with its executing thread (for is-alive checks)."""
-        with self._lock:
-            self._threads[rank] = thread
+        """Liveness beacon from ``rank``."""
+        self.state.beacon(self.members[rank])
 
     def mark_done(self, rank: int) -> None:
         """Record that ``rank`` finished its kernel cleanly.
 
-        A done rank stops beaconing and its thread exits — both of which
-        look exactly like death to the watchdog.  Marking completion
-        exempts it from suspicion (and from agreement's expected set) so
-        peers still blocked in their own final exchanges are not tricked
-        into revoking a healthy world.
+        A done rank stops beaconing and its thread or process exits —
+        both of which look exactly like death to the watchdog.  Marking
+        completion exempts it from suspicion (and from agreement's
+        expected set) so peers still blocked in their own final
+        exchanges are not tricked into revoking a healthy world.
         """
-        with self._lock:
-            self._done.add(rank)
+        self.state.mark_done(self.members[rank])
 
-    @contextmanager
-    def blocked(
-        self, rank: int, op: str, peer: int | None = None, tag: int | None = None
-    ) -> Iterator[None]:
-        """Mark ``rank`` as blocked in ``op`` for the duration of the body."""
-        with self._lock:
-            self._blocked[rank] = (op, peer, tag, self.now())
-        try:
-            yield
-        finally:
-            with self._lock:
-                self._blocked.pop(rank, None)
+    # -- failure registry -------------------------------------------------------------
 
-    # -- failure registry -----------------------------------------------------------
+    def _failure(self, rec: tuple[int, str, str, str, float, float]) -> RankFailure:
+        g = rec[0]
+        failure = self._known.get(g)
+        if failure is None:
+            _, kind, cls, detail, at, age = rec
+            failure = self._known[g] = RankFailure(
+                self._index[g], kind, cls, detail, detected_at=at, last_beat_age=age
+            )
+        return failure
+
+    def _record(self, g: int, kind: str, cls: str, detail: str) -> bool:
+        """Write one failure record; the first observer also publishes it."""
+        now = self.state.now()
+        age = self.state.beacon_age(g)
+        if not self.state.record_failure(g, kind, cls, detail, now, age):
+            return False
+        # The detection window: from the victim's last sign of life to
+        # the moment the failure was pinned down.
+        self.state.add_span("detect", g, now - age, now)
+        flight("rank-failed", g, value=age, detail=f"{kind}/{cls}"[:40])
+        flight("detect", g, value=age)
+        tracer = get_tracer()
+        if tracer is not None:
+            tracer.record_span(
+                "detect", g, duration_ns=int(age * 1e9), failure_kind=kind, classification=cls
+            )
+        return True
 
     def declare_failed(
         self, rank: int, kind: str, detail: str = "", classification: str | None = None
     ) -> RankFailure:
-        """Record a rank failure (idempotent: first declaration wins)."""
-        with self._lock:
-            existing = self._failures.get(rank)
-            if existing is not None:
-                return existing
-            now = self.now()
-            age = self.beat_age(rank)
-            failure = RankFailure(
-                rank=rank,
-                kind=kind,
-                classification=classification or self._classify_locked(rank),
-                detail=detail,
-                detected_at=now,
-                last_beat_age=age,
-            )
-            self._failures[rank] = failure
-            # The detection window: from the victim's last sign of life
-            # to the moment the failure was pinned down.
-            self._phase_spans.append(PhaseSpan("detect", rank, now - age, now))
-        flight(
-            "rank-failed",
-            rank,
-            value=age,
-            detail=f"{kind}/{failure.classification}"[:40],
-        )
-        flight("detect", rank, value=age)
+        """Record a rank failure (idempotent: the first declaration wins)."""
+        cls = classification or self.classify(rank)
+        self._record(self.members[rank], kind, "dead" if cls == "alive" else cls, detail)
+        (failure,) = [f for f in self.failures() if f.rank == rank]
         return failure
 
     def failures(self) -> list[RankFailure]:
-        with self._lock:
-            return sorted(self._failures.values(), key=lambda f: f.rank)
+        return [self._failure(rec) for rec in self.state.failures() if rec[0] in self._index]
 
     def dead_ranks(self) -> frozenset[int]:
-        with self._lock:
-            return frozenset(self._failures)
+        return frozenset(self._index[g] for g in self.state.failed_ranks() if g in self._index)
 
     def absent_ranks(self) -> frozenset[int]:
         """Ranks that will never contribute again: dead or cleanly done."""
-        with self._lock:
-            return frozenset(self._failures) | frozenset(self._done)
+        done = (r for r, g in enumerate(self.members) if self.state.is_done(g))
+        return self.dead_ranks().union(done)
 
     def alive_ranks(self) -> tuple[int, ...]:
         dead = self.dead_ranks()
@@ -314,91 +307,69 @@ class HeartbeatMonitor:
 
     def alive_bitmap(self) -> int:
         """Liveness as a bitmap (bit ``r`` set = rank ``r`` believed alive)."""
-        bitmap = 0
-        for r in self.alive_ranks():
-            bitmap |= 1 << r
-        return bitmap
+        return sum(1 << r for r in self.alive_ranks())
 
     # -- classification ---------------------------------------------------------------
 
-    def _classify_locked(self, rank: int) -> str:
-        if rank in self._failures:
-            return self._failures[rank].classification
-        if rank in self._done:
-            return "alive"  # finished cleanly; silence is expected
-        thread = self._threads.get(rank)
-        if thread is not None and not thread.is_alive():
-            return "dead"
-        age = self.now() - self._beats[rank]
-        if self._started and age > self.suspect_after:
-            # Alive thread, silent beacon: wedged (our `hang` fault) or a
-            # participant in a mutual-wait cycle.
-            return "deadlock"
-        blocked = self._blocked.get(rank)
-        if blocked is not None and self.now() - blocked[3] > self.suspect_after:
-            # Still beaconing, just slow — unless *every* unfinished rank
-            # is blocked past its deadline, which is a wait cycle: nobody
-            # can ever post the message everybody is waiting for.
-            pending = self.nranks - len(self._failures) - len(self._done)
-            stuck = sum(
-                1
-                for r, (_, _, _, since) in self._blocked.items()
-                if self.now() - since > self.suspect_after
-            )
-            return "deadlock" if stuck >= pending else "straggler"
-        return "alive"
+    def _gone(self, g: int) -> bool:
+        """Exited without finishing.  A rank marks itself done *before*
+        it exits, so re-reading the flag after the probe closes the race
+        with a rank finishing between the caller's done check and here."""
+        return self._alive is not None and not self._alive(g) and not self.state.is_done(g)
+
+    def _stuck(self, g: int) -> bool:
+        waited = self.state.blocked_for(g)
+        return waited is not None and waited > self.suspect_after
 
     def classify(self, rank: int) -> str:
         """Watchdog's current verdict on ``rank`` (see STALL_CLASSIFICATIONS)."""
-        with self._lock:
-            return self._classify_locked(rank)
+        g = self.members[rank]
+        for rec in self.state.failures():
+            if rec[0] == g:
+                return rec[2]
+        if self.state.is_done(g):
+            return "alive"  # finished cleanly; silence is expected
+        if self._gone(g):
+            return "dead"
+        if self.state.started and self.state.beacon_age(g) > self.suspect_after:
+            # Alive but silent: wedged (our `hang` fault) or a
+            # participant in a mutual-wait cycle.
+            return "deadlock"
+        if self._stuck(g):
+            # Still beaconing, just slow — unless *every* unfinished rank
+            # is blocked past its deadline, which is a wait cycle: nobody
+            # can ever post the message everybody is waiting for.
+            failed = self.state.failed_ranks()
+            pending = [m for m in self.members if m not in failed and not self.state.is_done(m)]
+            return "deadlock" if all(self._stuck(m) for m in pending) else "straggler"
+        return "alive"
 
     def poll(self) -> list[RankFailure]:
-        """Scan beacons; declare silent/exited ranks dead.  Returns *new* deaths.
+        """Scan beacons; declare silent or gone ranks dead.  Returns the
+        deaths *this call* recorded (other observers race idempotently).
 
         Run opportunistically by blocked ranks every wait quantum — the
-        watchdog rides on the threads that are already awake, no
-        dedicated monitor thread.
+        watchdog rides on the ranks that are already awake, no dedicated
+        monitor thread.
         """
-        if not self._started:
+        if not self.state.started:
             return []
         new: list[RankFailure] = []
-        with self._lock:
-            now = self.now()
-            for rank in range(self.nranks):
-                if rank in self._failures or rank in self._done:
-                    continue
-                thread = self._threads.get(rank)
-                thread_dead = thread is not None and not thread.is_alive()
-                silent = now - self._beats[rank] > self.suspect_after
-                if not (thread_dead or silent):
-                    continue
-                classification = "dead" if thread_dead else "deadlock"
-                kind = "crash" if thread_dead else "hang"
-                failure = RankFailure(
-                    rank=rank,
-                    kind=kind,
-                    classification=classification,
-                    detail=(
-                        "thread exited without unwinding"
-                        if thread_dead
-                        else f"beacon silent for {now - self._beats[rank]:.3f}s "
-                        f"(> suspect_after={self.suspect_after:g}s)"
-                    ),
-                    detected_at=now,
-                    last_beat_age=now - self._beats[rank],
-                )
-                self._failures[rank] = failure
-                self._phase_spans.append(PhaseSpan("detect", rank, self._beats[rank], now))
-                new.append(failure)
-        for failure in new:
-            flight(
-                "rank-failed",
-                failure.rank,
-                value=failure.last_beat_age,
-                detail=f"{failure.kind}/{failure.classification}"[:40],
-            )
-            flight("detect", failure.rank, value=failure.last_beat_age)
+        failed = self.state.failed_ranks()
+        for g in self.members:
+            if g in failed or self.state.is_done(g):
+                continue
+            gone = self._gone(g)
+            age = self.state.beacon_age(g)
+            if not (gone or age > self.suspect_after):
+                continue
+            if gone:
+                kind, cls, detail = "crash", "dead", f"{self.runtime_label} rank exited without unwinding"
+            else:
+                kind, cls = "hang", "deadlock"
+                detail = f"beacon silent for {age:.3f}s (> suspect_after={self.suspect_after:g}s)"
+            if self._record(g, kind, cls, detail):
+                new.extend(f for f in self.failures() if self.members[f.rank] == g)
         return new
 
     # -- recovery timeline -------------------------------------------------------------
@@ -406,14 +377,15 @@ class HeartbeatMonitor:
     @contextmanager
     def phase(self, name: str, rank: int) -> Iterator[None]:
         """Record one recovery phase interval for the report timeline."""
-        t0 = self.now()
+        g = self.members[rank]
+        t0 = self.state.now()
+        live_update(g, phase=name)  # `repro monitor` shows recovery progress live
         try:
             yield
         finally:
-            span = PhaseSpan(name, rank, t0, self.now())
-            with self._lock:
-                self._phase_spans.append(span)
-            flight(name, rank, value=span.duration)
+            t1 = self.state.now()
+            self.state.add_span(name, g, t0, t1)
+            flight(name, g, value=t1 - t0)
             metrics_counter(
                 "repro_recoveries_total", phase=name, runtime=self.runtime_label
             ).inc()
@@ -422,87 +394,17 @@ class HeartbeatMonitor:
 
     def build_report(self, *, recovered: bool = False, detail: str = "") -> FailureReport:
         """Snapshot everything the watchdog knows into a FailureReport."""
-        with self._lock:
-            failures = sorted(self._failures.values(), key=lambda f: f.rank)
-            spans = list(self._phase_spans)
-        survivors = [r for r in range(self.nranks) if all(f.rank != r for f in failures)]
+        failures = self.failures()
+        failed = {f.rank for f in failures}
         return FailureReport(
             nranks=self.nranks,
             failures=failures,
-            survivors=survivors,
-            phase_spans=spans,
+            survivors=[r for r in range(self.nranks) if r not in failed],
+            phase_spans=[
+                PhaseSpan(name, self._index[g], t0, t1)
+                for name, g, t0, t1 in self.state.spans()
+                if g in self._index
+            ],
             recovered=recovered,
             detail=detail,
         )
-
-
-class RevocableBarrier:
-    """Generation-counting barrier whose waiters poll for revocation.
-
-    ``threading.Barrier`` blocks opaquely for its whole timeout; a peer
-    failure detected elsewhere cannot wake it early, and its ``abort``
-    leaves it permanently broken.  This barrier waits in small quanta
-    and runs a caller-supplied ``poll`` callback *outside* the lock each
-    quantum — the callback beacons, runs the watchdog, and raises
-    (``RevokedError`` / ``RuntimeAbort``) to wake the waiter promptly.
-
-    A waiter that unwinds abnormally (timeout or a raising poll) breaks
-    the barrier for the current generation, so no peer is left counting
-    on a departed participant.
-    """
-
-    def __init__(self, parties: int, *, quantum: float = 0.02) -> None:
-        self.parties = int(parties)
-        self.quantum = float(quantum)
-        self._cond = threading.Condition()
-        self._count = 0
-        self._generation = 0
-        self._broken = False
-
-    def abort(self) -> None:
-        """Break the barrier: current and future waiters fail fast."""
-        with self._cond:
-            self._broken = True
-            self._cond.notify_all()
-
-    @property
-    def broken(self) -> bool:
-        return self._broken
-
-    def wait(self, timeout: float | None = None, *, poll=None) -> None:
-        """Wait for all parties; raises ``BrokenBarrierError`` on break/timeout."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._cond:
-            if self._broken:
-                raise threading.BrokenBarrierError
-            generation = self._generation
-            self._count += 1
-            if self._count == self.parties:
-                self._count = 0
-                self._generation += 1
-                self._cond.notify_all()
-                return
-        try:
-            while True:
-                with self._cond:
-                    if self._generation != generation:
-                        return
-                    if self._broken:
-                        raise threading.BrokenBarrierError
-                    now = time.monotonic()
-                    if deadline is not None and now >= deadline:
-                        raise threading.BrokenBarrierError
-                    wait_t = self.quantum if deadline is None else min(self.quantum, deadline - now)
-                    self._cond.wait(timeout=wait_t)
-                # Poll outside the lock: the callback may beacon, run the
-                # watchdog, or raise to revoke — none of which may nest
-                # under this condition (lock-ordering).
-                if poll is not None:
-                    poll()
-        except BaseException:
-            # A departing waiter (timeout, revoke, abort) must not leave
-            # peers counting on it.
-            with self._cond:
-                self._broken = True
-                self._cond.notify_all()
-            raise

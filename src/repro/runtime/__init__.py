@@ -8,7 +8,8 @@ semantics the paper's algorithms rely on:
   barriers, and one-sided RMA windows (``Put``/``Get``/``Fence``/
   ``Lock``) with the same completion rules as MPI.  This is where the
   pairwise and OSC all-to-all algorithms run and are tested, and the
-  only runtime with fault injection / ULFM recovery.
+  only runtime with message-level fault injection.  Both real runtimes
+  share one ULFM recovery core (:mod:`repro.resilience`).
 * :class:`~repro.runtime.proc.ProcessWorld` — every rank is a real OS
   process (forked).  Point-to-point moves through pickle-free
   shared-memory rings and RMA windows map onto one collectively-created

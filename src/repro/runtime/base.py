@@ -78,12 +78,11 @@ class Comm(ABC):
         """Original-world rank of each member of this communicator.
 
         The identity ``(0, .., size-1)`` for a world communicator;
-        shrunk communicators override (via ``_parent_ranks``) with the
-        survivor map, so layers that hold machine placement by original
-        rank (topologies, window locks) can follow a shrink.
+        shrunk communicators override it with the survivor map, so
+        layers that hold machine placement by original rank
+        (topologies, window locks) can follow a shrink.
         """
-        mapped = getattr(self, "_parent_ranks", None)
-        return tuple(mapped) if mapped is not None else tuple(range(self.size))
+        return tuple(range(self.size))
 
     # -- point to point --------------------------------------------------------
 

@@ -12,6 +12,11 @@ runtime uses that callback to beacon liveness, run the failure watchdog
 and raise (:class:`~repro.errors.RevokedError`, abort echoes) — so a
 receiver blocked on a rank that just died is woken within one quantum
 instead of sitting out its full deadline.
+
+Every envelope carries the shrink *generation* of the communicator that
+posted it, and a match only sees its own generation: a survivor
+communicator shares the world's mailboxes without ever matching what a
+dead rank posted before the failure.
 """
 
 from __future__ import annotations
@@ -24,11 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import RuntimeAbort, StallError
+from repro.resilience.control import WAIT_QUANTUM
 
 __all__ = ["Envelope", "Mailbox"]
-
-#: How often a blocked match re-checks state and runs its poll callback.
-WAIT_QUANTUM = 0.02
 
 
 @dataclass
@@ -36,6 +39,15 @@ class Envelope:
     source: int
     tag: int
     payload: np.ndarray
+    gen: int = 0
+
+
+def _matches(env: Envelope, source: int, tag: int, gen: int) -> bool:
+    return (
+        env.gen == gen
+        and (source == -1 or env.source == source)
+        and (tag == -1 or env.tag == tag)
+    )
 
 
 def _describe(source: int, tag: int) -> str:
@@ -83,14 +95,14 @@ class Mailbox:
         with self._cond:
             self._cond.notify_all()
 
-    def _find(self, source: int, tag: int) -> Envelope | None:
+    def _find(self, source: int, tag: int, gen: int) -> Envelope | None:
         for i, env in enumerate(self._queue):
-            if (source == -1 or env.source == source) and (tag == -1 or env.tag == tag):
+            if _matches(env, source, tag, gen):
                 del self._queue[i]
                 return env
         return None
 
-    def peek(self, source: int, tag: int) -> bool:
+    def peek(self, source: int, tag: int, gen: int = 0) -> bool:
         """Non-consuming probe: is a matching envelope queued right now?
 
         Backs ``Request.test()`` — the envelope stays queued so a later
@@ -99,10 +111,7 @@ class Mailbox:
         with self._cond:
             if self._aborted is not None:
                 self._raise_aborted()
-            return any(
-                (source == -1 or env.source == source) and (tag == -1 or env.tag == tag)
-                for env in self._queue
-            )
+            return any(_matches(env, source, tag, gen) for env in self._queue)
 
     def _raise_aborted(self) -> None:
         if self._abort_cause is not None:
@@ -116,6 +125,7 @@ class Mailbox:
         timeout: float | None,
         *,
         poll=None,
+        gen: int = 0,
         quantum: float = WAIT_QUANTUM,
     ) -> Envelope:
         """Block until a matching envelope arrives (wildcards: -1).
@@ -132,7 +142,7 @@ class Mailbox:
             with self._cond:
                 if self._aborted is not None:
                     self._raise_aborted()
-                env = self._find(source, tag)
+                env = self._find(source, tag, gen)
                 if env is not None:
                     return env
                 now = time.monotonic()

@@ -27,8 +27,8 @@ from repro.errors import (
 from repro.faults import FaultInjector, FaultPlan, FaultRule, RetryPolicy
 from repro.fft.plan import Fft3d
 from repro.resilience import (
-    AgreementSpace,
     CheckpointStore,
+    ControlState,
     FailureReport,
     HeartbeatMonitor,
     ResilientFft3d,
@@ -191,7 +191,7 @@ class TestRecvTimeout:
 
 class TestHeartbeatMonitor:
     def test_done_ranks_never_declared_dead(self):
-        mon = HeartbeatMonitor(2, suspect_after=0.01)
+        mon = HeartbeatMonitor(ControlState(2), suspect_after=0.01)
         mon.start()
         mon.mark_done(0)
         time.sleep(0.03)
@@ -201,7 +201,7 @@ class TestHeartbeatMonitor:
         assert 0 in mon.absent_ranks()  # but it no longer counts for agreement
 
     def test_silent_rank_declared_deadlocked(self):
-        mon = HeartbeatMonitor(2, suspect_after=0.01)
+        mon = HeartbeatMonitor(ControlState(2), suspect_after=0.01)
         mon.start()
         mon.beat(0)
         time.sleep(0.05)
@@ -213,7 +213,7 @@ class TestHeartbeatMonitor:
         assert mon.alive_ranks() == (0,)
 
     def test_declare_failed_idempotent(self):
-        mon = HeartbeatMonitor(3, suspect_after=10.0)
+        mon = HeartbeatMonitor(ControlState(3), suspect_after=10.0)
         mon.start()
         first = mon.declare_failed(2, "kill", "test")
         second = mon.declare_failed(2, "crash", "later duplicate")
@@ -221,7 +221,7 @@ class TestHeartbeatMonitor:
         assert len(mon.failures()) == 1
 
     def test_report_sequence_and_json(self):
-        mon = HeartbeatMonitor(4, suspect_after=10.0)
+        mon = HeartbeatMonitor(ControlState(4), suspect_after=10.0)
         mon.start()
         mon.declare_failed(3, "kill", "test")
         for phase in ("agree", "shrink", "restart"):
@@ -249,19 +249,20 @@ class TestAgreement:
         assert bitmap_ranks(ranks_bitmap(()), 4) == ()
 
     def test_agree_is_and_of_contributions(self):
-        space = AgreementSpace(3)
-        rounds = [space.next_round(r) for r in range(3)]
+        state = ControlState(3)
+        rounds = [state.next_slot(r, 0) for r in range(3)]
         assert len(set(rounds)) == 1
         contributions = {0: 0b111, 1: 0b011, 2: 0b111}
         results = {}
         import threading
 
         def contribute(rank):
-            results[rank] = space.agree(
-                rank,
+            results[rank] = state.agree_wait(
                 rounds[rank],
+                rank,
                 contributions[rank],
-                dead_ranks=frozenset,
+                nranks=3,
+                absent=frozenset,
                 timeout=5.0,
             )
 
@@ -271,6 +272,11 @@ class TestAgreement:
         for t in threads:
             t.join()
         assert set(results.values()) == {0b011}
+
+    def test_agree_full_bitmap_at_64_ranks(self):
+        """Bitmaps are full-width: bit 63 (a signed word's sign bit) survives."""
+        results = ThreadWorld(64, timeout=60.0).run(lambda comm: comm.agree())
+        assert results == [(1 << 64) - 1] * 64
 
 
 # -- checkpoint store ---------------------------------------------------------------
