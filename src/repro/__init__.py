@@ -19,6 +19,7 @@ Package map (see DESIGN.md for the full inventory):
 * :mod:`repro.runtime` — MPI-like thread & virtual runtimes (RMA windows)
 * :mod:`repro.collectives` — pairwise ring, OSC ring, compressed OSC
 * :mod:`repro.faults` — fault injection, retry policies, resilience reports
+* :mod:`repro.obs` — the one emit path (kind table → tracer, flight ring, live gauges, metrics)
 * :mod:`repro.trace` — per-rank spans/counters, Chrome + ``BENCH_*.json`` export
 * :mod:`repro.machine` / :mod:`repro.netsim` — Summit model + cost models
 * :mod:`repro.fft` — heFFTe-style distributed FFT (the core, Algorithm 1)

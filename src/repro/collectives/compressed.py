@@ -32,11 +32,11 @@ volume reduction that drives the speedup.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from repro import obs
 from repro.collectives.pairwise import ring_peers
 from repro.collectives.wire import decode_wire, encode_wire
 from repro.compression.base import Codec, CompressedMessage, IdentityCodec
@@ -51,49 +51,15 @@ from repro.errors import (
 )
 from repro.faults import ResilienceReport, RetryPolicy
 from repro.machine.topology import Topology
+from repro.obs import ExchangeStats
 from repro.runtime.base import Comm
 from repro.runtime.window import Window
-from repro.telemetry.metrics import counter as tele_counter
-from repro.telemetry.metrics import gauge as tele_gauge
-from repro.telemetry.metrics import histogram as tele_histogram
-from repro.telemetry.recorder import (
-    flight,
-    live_add,
-    live_add_many,
-    record_resilience_report,
-)
 from repro.tuning.pool import BufferPool
-from repro.trace import incr as trace_incr
-from repro.trace import record_report as trace_report
-from repro.trace import span as trace_span
 
 __all__ = ["CompressedOscAlltoallv", "ExchangeStats"]
 
 #: Tag base for recovery-round retransmissions (control plane).
 _RETRY_TAG = -7000
-
-
-@dataclass
-class ExchangeStats:
-    """Volume accounting of one compressed exchange (this rank's sends)."""
-
-    sent_messages: int = 0
-    original_bytes: int = 0
-    wire_bytes: int = 0
-    retransmissions: int = 0
-    retransmitted_bytes: int = 0
-    #: Largest measured round-trip relative error of this exchange's
-    #: lossy messages (0.0 for lossless sends); only meaningful when
-    #: ``error_measured`` — i.e. the exchange ran with an ``e_tol``.
-    achieved_error: float = 0.0
-    error_measured: bool = False
-
-    @property
-    def achieved_rate(self) -> float:
-        """``original / wire``; 0/0 is 1.0, nonzero/0 is ``inf`` (anomaly)."""
-        if self.wire_bytes:
-            return self.original_bytes / self.wire_bytes
-        return 1.0 if self.original_bytes == 0 else float("inf")
 
 
 class CompressedOscAlltoallv:
@@ -324,7 +290,7 @@ class CompressedOscAlltoallv:
         """
         frames: list[np.ndarray] = []
         for chunk_idx, frag in enumerate(self._split(arr)):
-            with trace_span(
+            with obs.span(
                 "compress",
                 rank=self.comm.rank,
                 peer=dest,
@@ -471,122 +437,25 @@ class CompressedOscAlltoallv:
         # scope of its own even outside a reshape (repro.perf groups
         # outermost exchange spans into rounds).
         attrs = dict(
-            rank=self.comm.rank,
             algorithm=self.algorithm,
             codec=self.codec.name,
             pipeline_chunks=self.pipeline_chunks,
         )
         if self.tuned is not None:
             attrs["tuned"] = self.tuned
-        started = time.monotonic()
-        with trace_span("exchange", **attrs):
+        started = time.perf_counter()
+        with obs.span("exchange", self.comm.rank, **attrs):
             recv = self._exchange(send)
-        self._observe_exchange_time(time.monotonic() - started)
-        return recv
-
-    @property
-    def _tele(self) -> dict[str, Any]:
-        """Metric handles for this op's rank, resolved once.
-
-        The registry's get-or-create does a sorted-tuple key build under
-        a lock per call; on the per-round hot path that lookup cost is
-        most of the telemetry overhead, so the handles are cached.
-        """
-        cached = self.__dict__.get("_tele_handles")
-        if cached is None:
-            rank = self.comm.rank
-            cached = {
-                "rounds": tele_counter("repro_exchange_rounds_total", rank=rank),
-                "wire": tele_counter("repro_wire_bytes_total", rank=rank),
-                "logical": tele_counter("repro_logical_bytes_total", rank=rank),
-                "retries": tele_counter("repro_retries_total", rank=rank),
-                "degradations": tele_counter("repro_degradations_total", rank=rank),
-                "ratio": tele_gauge("repro_compression_ratio", rank=rank),
-                "achieved": tele_gauge("repro_achieved_error", rank=rank),
-                "headroom": tele_gauge("repro_error_headroom", rank=rank),
-                "bandwidth": tele_gauge("repro_link_bandwidth_bytes_per_s", rank=rank),
-                "seconds": tele_histogram("repro_exchange_seconds", rank=rank),
-            }
-            self.__dict__["_tele_handles"] = cached
-        return cached
-
-    def _observe_exchange_time(self, elapsed: float) -> None:
-        """Per-link bandwidth gauge + latency histogram for the metrics
-        registry (the tracer records the same span; this survives runs
-        with no tracer installed)."""
-        tele = self._tele
-        tele["seconds"].observe(elapsed)
-        if elapsed > 0.0 and self.last_stats.wire_bytes:
-            tele["bandwidth"].set(self.last_stats.wire_bytes / elapsed)
-
-    def _finish_exchange(self, stats: ExchangeStats, report: ResilienceReport) -> None:
-        """Common exchange epilogue for the flat and two-level paths.
-
-        Publishes the round to every observability surface at once: the
-        opt-in tracer (counters + report), the always-on flight recorder
-        (ring events + live gauges) and the metrics registry.
-        """
-        comm = self.comm
-        self.last_stats = stats
-        self.last_report = report
-        trace_incr("messages", stats.sent_messages, rank=comm.rank)
-        trace_incr("logical_bytes", stats.original_bytes, rank=comm.rank)
-        trace_incr("wire_bytes", stats.wire_bytes, rank=comm.rank)
-        trace_report(report)
-
-        rank = comm.rank
-        round_no = self._round
-        self._round += 1
-        ratio = stats.achieved_rate
-        flight(
-            "exchange-round",
-            rank,
-            round_=round_no,
-            value=float(stats.wire_bytes),
-            value2=ratio if ratio != float("inf") else 0.0,
+        obs.publish_round(
+            self.last_stats,
+            self.last_report,
             detail=self.codec.name,
+            e_tol=self.e_tol,
+            seconds=time.perf_counter() - started,
+            round_=self._round,
         )
-        tele = self._tele
-        tele["rounds"].inc()
-        tele["wire"].inc(stats.wire_bytes)
-        tele["logical"].inc(stats.original_bytes)
-        if ratio != float("inf"):
-            tele["ratio"].set(ratio)
-        error_gauges = None
-        if self.e_tol is not None and stats.error_measured:
-            headroom = self.e_tol - stats.achieved_error
-            flight(
-                "error",
-                rank,
-                round_=round_no,
-                value=stats.achieved_error,
-                value2=headroom,
-                detail=self.codec.name,
-            )
-            tele["achieved"].set(stats.achieved_error)
-            tele["headroom"].set(headroom)
-            error_gauges = {
-                "achieved_error": stats.achieved_error,
-                "error_headroom": headroom,
-                "e_tol": self.e_tol,
-            }
-        live_add_many(
-            rank,
-            {
-                "rounds": 1.0,
-                "wire_bytes": float(stats.wire_bytes),
-                "logical_bytes": float(stats.original_bytes),
-            },
-            sets=error_gauges,
-        )
-        if not report.clean:
-            record_resilience_report(report, round_=round_no)
-            if report.retries:
-                tele["retries"].inc(report.retries)
-                live_add(rank, "retries", float(report.retries))
-            if report.degradations:
-                tele["degradations"].inc(report.degradations)
-                live_add(rank, "degradations", float(report.degradations))
+        self._round += 1
+        return recv
 
     def _exchange(self, send: Sequence[np.ndarray | None]) -> list[np.ndarray]:
         comm, p = self.comm, self.comm.size
@@ -618,7 +487,7 @@ class CompressedOscAlltoallv:
 
         win = self._ensure_window(my_total)
 
-        with trace_span("fence", rank=comm.rank, epoch="open"):
+        with obs.span("fence", rank=comm.rank, epoch="open"):
             win.fence()
         for step in range(p):
             dest, _ = ring_peers(comm.rank, step, p, self.topology)
@@ -636,7 +505,7 @@ class CompressedOscAlltoallv:
             # interleaves, the data movement is identical).
             intra = self.topology.same_node(comm.rank, dest) if self.topology else dest == comm.rank
             for chunk_idx, frag in enumerate(dest_frames):
-                with trace_span(
+                with obs.span(
                     "put",
                     rank=comm.rank,
                     peer=dest,
@@ -647,7 +516,7 @@ class CompressedOscAlltoallv:
                     win.put(frag, dest, offset=offset)
                 offset += frag.size
 
-        with trace_span("fence", rank=comm.rank, epoch="close"):
+        with obs.span("fence", rank=comm.rank, epoch="close"):
             win.fence()
 
         # Puts have landed in every target window; the staging frames
@@ -669,7 +538,7 @@ class CompressedOscAlltoallv:
                 continue
             region = local[int(recv_offsets[s]) : int(recv_offsets[s]) + size]
             try:
-                with trace_span("decompress", rank=comm.rank, peer=s, bytes=size):
+                with obs.span("decompress", rank=comm.rank, peer=s, bytes=size):
                     recv[s] = self._decode_region(region)
             except CompressionError as exc:
                 report.record("integrity-failure", peer=s, detail=str(exc))
@@ -682,12 +551,12 @@ class CompressedOscAlltoallv:
         # transport/codec bug: raise it rather than mask it with a
         # retransmission.
         if self._injector() is not None:
-            with trace_span("retry", rank=comm.rank, failed=len(failed)):
+            with obs.span("retry", rank=comm.rank, failed=len(failed)):
                 self._recover(arrays, recv, failed, report, stats)
         elif failed:
             raise WireIntegrityError(
                 f"rank {comm.rank}: corrupted block(s) from rank(s) {sorted(failed)} "
                 f"with no fault plan active"
             )
-        self._finish_exchange(stats, report)
+        self.last_stats, self.last_report = stats, report
         return recv  # type: ignore[return-value]

@@ -32,18 +32,14 @@ from typing import Sequence
 
 import numpy as np
 
+from repro import obs
 from repro.conformance import hooks
 from repro.errors import CommunicatorError, RetryExhaustedError
 from repro.faults import ResilienceReport, RetryPolicy
 from repro.machine.topology import Topology
 from repro.runtime.base import Comm
 from repro.runtime.window import Window
-from repro.telemetry.metrics import counter as tele_counter
-from repro.telemetry.recorder import flight, live_add, record_resilience_report
 from repro.tuning.pool import BufferPool
-from repro.trace import incr as trace_incr
-from repro.trace import record_report as trace_report
-from repro.trace import span as trace_span
 
 __all__ = ["OscAlltoallv", "osc_alltoallv"]
 
@@ -188,7 +184,9 @@ class OscAlltoallv:
         comm, p = self.comm, self.comm.size
         if len(send) != p:
             raise CommunicatorError(f"send list has {len(send)} entries for {p} ranks")
+        started = time.perf_counter()
         report = ResilienceReport(rank=comm.rank)
+        stats = obs.ExchangeStats()
         chunks = [
             np.zeros(0, dtype=np.uint8)
             if c is None
@@ -209,7 +207,7 @@ class OscAlltoallv:
 
         from repro.collectives.pairwise import ring_peers
 
-        with trace_span("fence", rank=comm.rank, epoch="open"):
+        with obs.span("fence", rank=comm.rank, epoch="open"):
             win.fence()  # open epoch — "synchronization phase to make sure all processes are ready"
         for step in range(p):
             dest, _ = ring_peers(comm.rank, step, p, self.topology)
@@ -227,12 +225,10 @@ class OscAlltoallv:
                     if self.topology
                     else dest == comm.rank
                 )
-                with trace_span("put", rank=comm.rank, peer=dest, bytes=int(data.size), intra=intra):
+                with obs.span("put", rank=comm.rank, peer=dest, bytes=int(data.size), intra=intra):
                     win.put(data, dest, offset=offset)
-                trace_incr("messages", 1, rank=comm.rank)
-                trace_incr("logical_bytes", int(data.size), rank=comm.rank)
-                trace_incr("wire_bytes", int(data.size), rank=comm.rank)
-        with trace_span("fence", rank=comm.rank, epoch="close"):
+                stats.sent_messages += 1
+        with obs.span("fence", rank=comm.rank, epoch="close"):
             win.fence()  # close epoch — all puts complete everywhere
 
         local = win.local_view()
@@ -255,20 +251,13 @@ class OscAlltoallv:
             ]
             for s in failed:
                 report.record("integrity-failure", peer=s, detail="block checksum mismatch")
-            with trace_span("retry", rank=comm.rank, failed=len(failed)):
+            with obs.span("retry", rank=comm.rank, failed=len(failed)):
                 self._recover(chunks, recv, all_crcs, failed, report)
         self.last_report = report
-        trace_report(report)
-        wire = int(my_sizes.sum())
-        flight("exchange-round", comm.rank, value=float(wire), detail="raw-osc")
-        tele_counter("repro_exchange_rounds_total", rank=comm.rank).inc()
-        tele_counter("repro_wire_bytes_total", rank=comm.rank).inc(wire)
-        tele_counter("repro_logical_bytes_total", rank=comm.rank).inc(wire)
-        live_add(comm.rank, "rounds", 1.0)
-        live_add(comm.rank, "wire_bytes", float(wire))
-        live_add(comm.rank, "logical_bytes", float(wire))
-        if not report.clean:
-            record_resilience_report(report)
+        stats.original_bytes = stats.wire_bytes = int(my_sizes.sum())
+        obs.publish_round(
+            stats, report, detail="raw-osc", seconds=time.perf_counter() - started
+        )
         return recv
 
 

@@ -12,16 +12,16 @@ different processes ... ensuring a constant, bi-directional traffic."
 
 from __future__ import annotations
 
+import time
 from typing import Sequence
 
 import numpy as np
 
+from repro import obs
 from repro.conformance import hooks
 from repro.errors import CommunicatorError
 from repro.machine.topology import Topology
 from repro.runtime.base import Comm
-from repro.trace import incr as trace_incr
-from repro.trace import span as trace_span
 from repro.utils.arrays import no_alias_copy
 
 __all__ = ["pairwise_alltoallv", "ring_peers"]
@@ -76,6 +76,8 @@ def pairwise_alltoallv(
         raise CommunicatorError(f"send list has {len(send)} entries for {p} ranks")
     if topology is not None and topology.nranks != p:
         raise CommunicatorError("topology size does not match communicator size")
+    started = time.perf_counter()
+    stats = obs.ExchangeStats()
     empty = np.zeros(0, dtype=np.uint8)
     recv: list[np.ndarray] = [empty] * p
 
@@ -85,9 +87,8 @@ def pairwise_alltoallv(
     mine = send[comm.rank]
     recv[comm.rank] = no_alias_copy(mine)
     if mine is not None:
-        trace_incr("messages", 1, rank=comm.rank)
-        trace_incr("logical_bytes", int(recv[comm.rank].nbytes), rank=comm.rank)
-        trace_incr("wire_bytes", int(recv[comm.rank].nbytes), rank=comm.rank)
+        stats.sent_messages += 1
+        stats.wire_bytes += int(recv[comm.rank].nbytes)
 
     for step in range(1, p):
         dest, src = ring_peers(comm.rank, step, p, topology)
@@ -96,12 +97,15 @@ def pairwise_alltoallv(
         out = hooks.mutate("pairwise.chunk", out, rank=comm.rank, dest=dest, step=step)
         # isend-then-recv: eager buffered send cannot deadlock, and the
         # pair (dest, src) differs per rank so messages pair up 1:1.
-        with trace_span("sendrecv", rank=comm.rank, peer=dest, bytes=int(out.nbytes)):
+        with obs.span("sendrecv", rank=comm.rank, peer=dest, bytes=int(out.nbytes)):
             req = comm.isend(out, dest, tag=_TAG - step)
             recv[src] = comm.recv(src, tag=_TAG - step)
             req.wait()
         if chunk is not None:
-            trace_incr("messages", 1, rank=comm.rank)
-            trace_incr("logical_bytes", int(out.nbytes), rank=comm.rank)
-            trace_incr("wire_bytes", int(out.nbytes), rank=comm.rank)
+            stats.sent_messages += 1
+            stats.wire_bytes += int(out.nbytes)
+    stats.original_bytes = stats.wire_bytes
+    obs.publish_round(
+        stats, rank=comm.rank, detail="pairwise", seconds=time.perf_counter() - started
+    )
     return recv

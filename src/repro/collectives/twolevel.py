@@ -42,13 +42,10 @@ from typing import Sequence
 
 import numpy as np
 
+from repro import obs
 from repro.collectives.compressed import CompressedOscAlltoallv, ExchangeStats
 from repro.errors import CommunicatorError, CompressionError, WireIntegrityError
 from repro.faults import ResilienceReport
-from repro.telemetry.metrics import counter as metrics_counter
-from repro.telemetry.recorder import flight
-from repro.trace import incr as trace_incr
-from repro.trace import span as trace_span
 
 __all__ = ["TwoLevelCompressedAlltoallv"]
 
@@ -126,15 +123,13 @@ class TwoLevelCompressedAlltoallv(CompressedOscAlltoallv):
                 len(tuple(topo.ranks_on_node(m))) for m in range(topo.nnodes)
             ]
             if min(live_counts) == 0 or sum(1 for c in live_counts if c) <= 1:
-                flight(
+                obs.event(
                     "exchange-degrade",
                     self.comm.rank,
                     value=float(live_counts.count(0)),
                     detail=f"{live_counts.count(0)} empty node(s)"[:40],
+                    reason="empty_node",
                 )
-                metrics_counter(
-                    "repro_exchange_degraded_total", reason="empty_node"
-                ).inc()
                 return super()._exchange(send)
             demoted = [
                 m for m in range(topo.nnodes) if live_counts[m] < topo.ranks_per_node
@@ -142,13 +137,12 @@ class TwoLevelCompressedAlltoallv(CompressedOscAlltoallv):
             if demoted:
                 # Leader duties on these nodes just moved: survivors
                 # re-elect (m % live) over the shrunk node membership.
-                flight(
+                obs.event(
                     "leader-failover",
                     self.comm.rank,
                     value=float(len(demoted)),
                     detail=f"nodes {demoted}"[:40],
                 )
-                metrics_counter("repro_leader_failovers_total").inc()
         comm, p = self.comm, self.comm.size
         if len(send) != p:
             raise CommunicatorError(f"send list has {len(send)} entries for {p} ranks")
@@ -189,7 +183,7 @@ class TwoLevelCompressedAlltoallv(CompressedOscAlltoallv):
         # Stage 0: same-node destinations go direct (sends are eager).
         for dest in topo.ranks_on_node(my_node):
             if dest != me and blobs[dest].size:
-                with trace_span(
+                with obs.span(
                     "sendrecv", rank=me, peer=dest, bytes=int(blobs[dest].size),
                     intra=True, stage="local",
                 ):
@@ -208,7 +202,7 @@ class TwoLevelCompressedAlltoallv(CompressedOscAlltoallv):
             if leader == me:
                 gathered_parts[m] = part
             elif total:
-                with trace_span(
+                with obs.span(
                     "sendrecv", rank=me, peer=leader, bytes=total,
                     intra=True, stage="gather",
                 ):
@@ -240,12 +234,12 @@ class TwoLevelCompressedAlltoallv(CompressedOscAlltoallv):
             if total:
                 aggregate = self._concat(parts, total)
                 peer = self._recv_leader(my_node, m)
-                with trace_span(
+                with obs.span(
                     "sendrecv", rank=me, peer=peer, bytes=total,
                     intra=False, stage="internode",
                 ):
                     comm.send(aggregate, peer, tag=_TL_INTER - my_node)
-                trace_incr("internode_messages", 1, rank=me)
+                obs.count("internode_messages", 1, me)
                 if self.pool is not None:
                     self.pool.release(aggregate)
             if self.pool is not None:
@@ -274,7 +268,7 @@ class TwoLevelCompressedAlltoallv(CompressedOscAlltoallv):
                     if d == me:
                         stashed[r] = block
                     elif size:
-                        with trace_span(
+                        with obs.span(
                             "sendrecv", rank=me, peer=d, bytes=size,
                             intra=True, stage="scatter",
                         ):
@@ -299,7 +293,7 @@ class TwoLevelCompressedAlltoallv(CompressedOscAlltoallv):
                 leader = self._recv_leader(topo.node_of(s), my_node)
                 region = np.ascontiguousarray(comm.recv(leader, tag=_TL_SCATTER - s), dtype=np.uint8)
             try:
-                with trace_span("decompress", rank=me, peer=s, bytes=size):
+                with obs.span("decompress", rank=me, peer=s, bytes=size):
                     recv[s] = self._decode_region(region)
             except CompressionError as exc:
                 report.record("integrity-failure", peer=s, detail=str(exc))
@@ -310,12 +304,12 @@ class TwoLevelCompressedAlltoallv(CompressedOscAlltoallv):
         # Recovery is topology-agnostic (two-sided retransmissions under
         # allgather-agreed failure sets) — reuse it verbatim.
         if self._injector() is not None:
-            with trace_span("retry", rank=me, failed=len(failed)):
+            with obs.span("retry", rank=me, failed=len(failed)):
                 self._recover(arrays, recv, failed, report, stats)
         elif failed:
             raise WireIntegrityError(
                 f"rank {me}: corrupted block(s) from rank(s) {sorted(failed)} "
                 f"with no fault plan active"
             )
-        self._finish_exchange(stats, report)
+        self.last_stats, self.last_report = stats, report
         return recv  # type: ignore[return-value]

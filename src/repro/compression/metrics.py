@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import obs
 from repro.compression.base import Codec
-from repro.trace import span as trace_span
 
 __all__ = ["CompressionReport", "evaluate_codec", "rel_l2_error", "max_abs_error"]
 
@@ -65,9 +65,9 @@ class CompressionReport:
 def evaluate_codec(codec: Codec, data: np.ndarray) -> CompressionReport:
     """Round-trip ``data`` through ``codec`` and report rate + error."""
     data = np.asarray(data)
-    with trace_span("compress", codec=codec.name, bytes=int(data.nbytes)):
+    with obs.span("compress", codec=codec.name, bytes=int(data.nbytes)):
         msg = codec.compress(data)
-    with trace_span("decompress", codec=codec.name, bytes=int(msg.nbytes)):
+    with obs.span("decompress", codec=codec.name, bytes=int(msg.nbytes)):
         back = codec.decompress(msg)
     return CompressionReport(
         codec_name=codec.name,

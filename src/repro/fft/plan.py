@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import obs
 from repro.collectives.compressed import CompressedOscAlltoallv
 from repro.collectives.twolevel import TwoLevelCompressedAlltoallv
 from repro.compression.base import Codec
@@ -38,10 +39,8 @@ from repro.fft.decomposition import (
 from repro.fft.local_fft import batched_fft, batched_ifft, complex_dtype
 from repro.fft.reshape import ReshapePlan, ReshapeStats
 from repro.machine.topology import Topology
-from repro.telemetry.recorder import flight, live_update
 from repro.runtime.base import Comm
 from repro.runtime.virtual import VirtualWorld
-from repro.trace import span as trace_span
 from repro.tuning.pool import BufferPool
 from repro.tuning.profile import TuningEntry, TuningProfile
 
@@ -251,12 +250,11 @@ class Fft3d:
                 world, locals_, codec=self._stage_codec(axis), stats=rstats
             )
             stats.reshapes.append(rstats)
-            # negative axis: transparent to leading batch dimensions
-            transformed = []
-            for r, b in enumerate(locals_):
-                with trace_span("local_fft", rank=r, axis=axis):
-                    transformed.append(transform(b, axis - 3, self.precision))
-            locals_ = transformed
+            # One phase for the one process that runs every simulated rank
+            # (like the reshape rounds, published as rank 0); negative axis:
+            # transparent to leading batch dimensions.
+            with obs.span("local_fft", 0, axis=axis):
+                locals_ = [transform(b, axis - 3, self.precision) for b in locals_]
         rstats = ReshapeStats()
         locals_ = self.reshapes[3].run_virtual(
             world, locals_, codec=self._stage_codec(3), stats=rstats
@@ -312,16 +310,9 @@ class Fft3d:
         if stats is None:
             stats = FftStats()
         block = np.ascontiguousarray(local, dtype=self.dtype)
-        flight(
+        with obs.span(
             "fft",
             comm.rank,
-            value=float(self.nranks),
-            detail=f"{'i' if inverse else ''}fft {self.shape[0]}^3",
-        )
-        live_update(comm.rank, alive=1.0, phase="fft")
-        with trace_span(
-            "fft",
-            rank=comm.rank,
             shape=self.shape,
             nranks=self.nranks,
             inverse=inverse,
@@ -365,11 +356,10 @@ class Fft3d:
                         alltoall.free()
                 stats.reshapes.append(rstats)
                 if step < 3:
-                    live_update(comm.rank, phase="local_fft")
-                    with trace_span("local_fft", rank=comm.rank, axis=step):
+                    with obs.span("local_fft", comm.rank, axis=step):
                         block = transform(block, step - 3, self.precision)
         self.last_stats = stats
-        live_update(comm.rank, phase="idle")
+        obs.event("idle", comm.rank)
         return block
 
 

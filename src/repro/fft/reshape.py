@@ -19,11 +19,13 @@ Two executors share the same plan:
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
+from repro import obs
 from repro.collectives.compressed import CompressedOscAlltoallv
 from repro.collectives.osc import osc_alltoallv
 from repro.collectives.pairwise import pairwise_alltoallv
@@ -31,11 +33,8 @@ from repro.collectives.twolevel import TwoLevelCompressedAlltoallv
 from repro.compression.base import Codec
 from repro.errors import PlanError
 from repro.faults import ResilienceReport, RetryPolicy
-from repro.telemetry.recorder import live_update
 from repro.tuning.pool import BufferPool
 from repro.tuning.profile import VARIANTS
-from repro.trace import incr as trace_incr
-from repro.trace import span as trace_span
 from repro.fft.box import Box3d
 from repro.fft.decomposition import CartesianDecomp
 from repro.machine.topology import Topology
@@ -205,30 +204,36 @@ class ReshapePlan:
         dtype = locals_[0].dtype
         batch = locals_[0].shape[:-3]
         out = [self._alloc_out(r, dtype, batch) for r in range(self.nranks)]
+        sent = obs.ExchangeStats()
         for s in range(self.nranks):
             for d, box in self.pairs[s]:
-                with trace_span("pack", rank=s, peer=d):
+                with obs.span("pack", rank=s, peer=d):
                     chunk = self.pack(s, locals_[s], d, box)
                 if codec is None:
                     world.traffic.record(s, d, chunk.nbytes)
                     received = chunk
                     wire = chunk.nbytes
                 else:
-                    with trace_span("compress", rank=s, peer=d, bytes=chunk.nbytes):
+                    with obs.span("compress", rank=s, peer=d, bytes=chunk.nbytes):
                         msg = codec.compress(chunk)
                     world.traffic.record(s, d, msg.nbytes)
-                    with trace_span("decompress", rank=d, peer=s, bytes=msg.nbytes):
+                    with obs.span("decompress", rank=d, peer=s, bytes=msg.nbytes):
                         received = codec.decompress(msg)
                     wire = msg.nbytes
-                trace_incr("messages", 1, rank=s)
-                trace_incr("logical_bytes", chunk.nbytes, rank=s)
-                trace_incr("wire_bytes", wire, rank=s)
-                if stats is not None:
-                    stats.messages += 1
-                    stats.logical_bytes += chunk.nbytes
-                    stats.wire_bytes += wire
-                with trace_span("unpack", rank=d, peer=s):
+                sent.sent_messages += 1
+                sent.original_bytes += chunk.nbytes
+                sent.wire_bytes += wire
+                with obs.span("unpack", rank=d, peer=s):
                     self.unpack(d, out[d], s, box, received)
+        # One round per reshape, published by the one process that runs
+        # every simulated rank (rank 0 of its own world): per-rank rings,
+        # live rows and series for hundreds of simulated ranks would cost
+        # memory no consumer reads.  The spans above keep the per-rank split.
+        obs.publish_round(sent, rank=0, detail="raw" if codec is None else codec.name)
+        if stats is not None:
+            stats.messages += sent.sent_messages
+            stats.logical_bytes += sent.original_bytes
+            stats.wire_bytes += sent.wire_bytes
         return out
 
     # -- SPMD execution ------------------------------------------------------------------
@@ -280,15 +285,13 @@ class ReshapePlan:
 
         send: list[np.ndarray | None] = [None] * self.nranks
         for d, box in self.pairs[rank]:
-            with trace_span("pack", rank=rank, peer=d):
+            with obs.span("pack", rank=rank, peer=d):
                 send[d] = self.pack(rank, local, d, box, pool=pool)
 
         report: ResilienceReport | None = None
-        # One live-phase beacon per reshape: "exchange" is where a rank
-        # spends its blocking time (pack/unpack are sub-ms local work and
-        # per-phase beacons there measurably tax the GIL-shared ranks).
-        live_update(rank, phase="exchange")
-        with trace_span("exchange", rank=rank, method=method, messages=len(self.pairs[rank])):
+        # The exchange span sets the rank's live phase: "exchange" is where
+        # a rank spends its blocking time (pack/unpack are tracer-only).
+        with obs.span("exchange", rank, method=method, messages=len(self.pairs[rank])):
             if alltoall is not None:
                 recv = alltoall(send)
                 report = alltoall.last_report
@@ -320,13 +323,17 @@ class ReshapePlan:
                     stats.logical_bytes += op.last_stats.original_bytes
                     stats.wire_bytes += op.last_stats.wire_bytes
             elif method == "reference":
+                started = time.perf_counter()
                 recv = comm.alltoallv(send)
                 # The reference path has no stats-carrying collective, so
-                # the reshape layer does its byte accounting (raw wire).
+                # the reshape layer publishes its round (raw wire).
                 sent = sum(int(c.nbytes) for c in send if c is not None)
-                trace_incr("messages", sum(c is not None for c in send), rank=rank)
-                trace_incr("logical_bytes", sent, rank=rank)
-                trace_incr("wire_bytes", sent, rank=rank)
+                obs.publish_round(
+                    obs.ExchangeStats(sum(c is not None for c in send), sent, sent),
+                    rank=rank,
+                    detail="reference",
+                    seconds=time.perf_counter() - started,
+                )
             elif method == "pairwise":
                 recv = pairwise_alltoallv(comm, send, topology=topology)
             elif method == "osc":
@@ -352,7 +359,7 @@ class ReshapePlan:
             chunk = np.asarray(recv[s])
             if chunk.dtype != dtype:
                 chunk = chunk.view(np.uint8).view(dtype) if codec is None and alltoall is None else chunk.astype(dtype)
-            with trace_span("unpack", rank=rank, peer=s):
+            with obs.span("unpack", rank=rank, peer=s):
                 self.unpack(rank, out, s, box, chunk)
         if pool is not None:
             for s, _ in self.incoming[rank]:

@@ -35,11 +35,10 @@ from __future__ import annotations
 import time
 from typing import Any
 
+from repro import obs
 from repro.errors import CommunicatorError, RankHungError, RevokedError, RuntimeAbort
 from repro.resilience.control import WAIT_QUANTUM
 from repro.resilience.monitor import FailureReport
-from repro.telemetry.recorder import flight, live_update
-from repro.trace.core import span as trace_span
 
 __all__ = ["SurvivorWorld", "UlfmComm", "UlfmWorld", "bitmap_ranks", "ranks_bitmap"]
 
@@ -212,8 +211,7 @@ class UlfmComm:
     def _hang_self(self, op: str) -> None:
         """Injected ``hang``: park without beacons until peers detect the
         silence and revoke (or the world aborts), then unwind."""
-        flight("fault-hang", self._me, detail=op[:40])
-        live_update(self._me, phase="hung")
+        obs.event("fault-hang", self._me, detail=op[:40])
         deadline = time.monotonic() + self.world.timeout * 2
         while (
             self._state.revoked_reason(0) is None
@@ -226,7 +224,7 @@ class UlfmComm:
             detail += " (never detected: no peer polled the watchdog)"
         self._monitor.declare_failed(self.rank, "hang", detail, classification="deadlock")
         self.world.revoke(f"rank {self._me} hang (deadlock): {detail}")
-        live_update(self._me, alive=0.0, phase="failed")
+        obs.event("failed", self._me)
         raise RankHungError(
             f"rank {self._me} wedged by fault injection at {op}",
             report=self._monitor.build_report(detail=detail),
@@ -268,9 +266,7 @@ class UlfmComm:
             bitmap = self._monitor.alive_bitmap()
         slot = self._state.next_slot(self._me, self.gen)
         self._state.beacon(self._me)
-        with trace_span("agree", rank=self.rank, round=slot), self._monitor.phase(
-            "agree", self.rank
-        ):
+        with self._monitor.phase("agree", self.rank, round=slot):
             self._state.set_blocked(self._me, True)
             try:
                 return self._state.agree_wait(
@@ -302,13 +298,12 @@ class UlfmComm:
                 f"rank {self.rank} cannot shrink onto survivors {survivors} "
                 "(it is not one of them)"
             )
-        with trace_span("shrink", rank=self.rank, survivors=len(survivors)):
-            with self._monitor.phase("shrink", self.rank):
-                gen = self.gen + 1
-                self._state.bump_gen(gen)
-                members = tuple(self.parent_ranks[r] for r in survivors)
-                world = SurvivorWorld(self.world.root, members, gen)
-                return type(self)(world, survivors.index(self.rank))
+        with self._monitor.phase("shrink", self.rank, survivors=len(survivors)):
+            gen = self.gen + 1
+            self._state.bump_gen(gen)
+            members = tuple(self.parent_ranks[r] for r in survivors)
+            world = SurvivorWorld(self.world.root, members, gen)
+            return type(self)(world, survivors.index(self.rank))
 
     def failure_report(self, **kwargs: Any) -> FailureReport:
         """Snapshot the watchdog's view of this communicator (see FailureReport)."""

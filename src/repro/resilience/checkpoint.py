@@ -39,6 +39,7 @@ from typing import Any
 
 import numpy as np
 
+from repro import obs
 from repro.collectives.wire import decode_wire, encode_wire
 from repro.compression.base import CompressedMessage
 from repro.errors import (
@@ -55,7 +56,6 @@ from repro.fft.reshape import ReshapeStats
 from repro.machine.topology import ShrunkTopology
 from repro.resilience.abft import reshape_checksums, verify_checksums
 from repro.runtime.shm import quiet_close
-from repro.trace import span as trace_span
 
 __all__ = ["CheckpointStore", "ResilientFft3d", "ShmCheckpointStore", "SpmdResult"]
 
@@ -447,7 +447,7 @@ class ResilientFft3d:
         for step in range(start, _N_STAGES):
             rplan = plan.reshapes[step]
             key = (self.tag, comm.size, step, comm.rank)
-            with trace_span("checkpoint", rank=comm.rank, stage=step):
+            with obs.span("checkpoint", rank=comm.rank, stage=step):
                 store.save(key, block, meta={"stage": step, "inverse": int(inverse)})
             sent = None
             if self.abft:
@@ -472,7 +472,7 @@ class ResilientFft3d:
                 )
                 verify_checksums(sent, got, self.checksum_tolerance)
             if step < _N_STAGES - 1:
-                with trace_span("local_fft", rank=comm.rank, axis=step):
+                with obs.span("local_fft", rank=comm.rank, axis=step):
                     block = transform(block, step - 3, plan.precision)
         return block
 
@@ -527,13 +527,10 @@ class ResilientFft3d:
                 f"rank {comm.rank}: no globally consistent checkpoint to restart "
                 f"from after failure ({exc})"
             ) from exc
-        with trace_span("restart", rank=comm.rank, stage=stage, survivors=sub.size):
-            with world.monitor.phase("restart", comm.rank):
-                new_plan, new_block = self._restart_block(
-                    store, plan, comm.size, stage, sub
-                )
-                self.active_plan = new_plan
-                result = self._run(sub, new_plan, new_block, stage, inverse, depth + 1)
+        with world.monitor.phase("restart", comm.rank, stage=stage, survivors=sub.size):
+            new_plan, new_block = self._restart_block(store, plan, comm.size, stage, sub)
+            self.active_plan = new_plan
+            result = self._run(sub, new_plan, new_block, stage, inverse, depth + 1)
         result.recovered = True
         result.report = world.monitor.build_report(
             recovered=True,
@@ -558,9 +555,7 @@ class ResilientFft3d:
         plan = self._plan_for(comm.size, getattr(comm, "parent_ranks", None))
         self.active_plan = plan
         block = np.ascontiguousarray(local, dtype=plan.dtype)
-        with trace_span(
-            "fft", rank=comm.rank, shape=self.shape, nranks=comm.size, inverse=inverse
-        ):
+        with obs.span("fft", comm.rank, shape=self.shape, nranks=comm.size, inverse=inverse):
             result = self._run(comm, plan, block, 0, inverse, 0)
         self.active_plan = result.plan
         return result

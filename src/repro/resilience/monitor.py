@@ -38,10 +38,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
+from repro import obs
 from repro.resilience.control import ControlState
-from repro.telemetry.metrics import counter as metrics_counter
-from repro.telemetry.recorder import flight, live_update
-from repro.trace.core import get_tracer
 
 __all__ = [
     "STALL_CLASSIFICATIONS",
@@ -272,13 +270,8 @@ class HeartbeatMonitor:
         # The detection window: from the victim's last sign of life to
         # the moment the failure was pinned down.
         self.state.add_span("detect", g, now - age, now)
-        flight("rank-failed", g, value=age, detail=f"{kind}/{cls}"[:40])
-        flight("detect", g, value=age)
-        tracer = get_tracer()
-        if tracer is not None:
-            tracer.record_span(
-                "detect", g, duration_ns=int(age * 1e9), failure_kind=kind, classification=cls
-            )
+        obs.event("rank-failed", g, value=age, detail=f"{kind}/{cls}"[:40])
+        obs.event("detect", g, seconds=age, failure_kind=kind, classification=cls)
         return True
 
     def declare_failed(
@@ -375,20 +368,16 @@ class HeartbeatMonitor:
     # -- recovery timeline -------------------------------------------------------------
 
     @contextmanager
-    def phase(self, name: str, rank: int) -> Iterator[None]:
-        """Record one recovery phase interval for the report timeline."""
+    def phase(self, name: str, rank: int, **attrs: Any) -> Iterator[None]:
+        """One recovery phase: an interval of the report timeline, and an
+        ``obs`` span (live phase, tracer span, ring record, metric)."""
         g = self.members[rank]
         t0 = self.state.now()
-        live_update(g, phase=name)  # `repro monitor` shows recovery progress live
         try:
-            yield
+            with obs.span(name, g, phase=name, runtime=self.runtime_label, **attrs):
+                yield
         finally:
-            t1 = self.state.now()
-            self.state.add_span(name, g, t0, t1)
-            flight(name, g, value=t1 - t0)
-            metrics_counter(
-                "repro_recoveries_total", phase=name, runtime=self.runtime_label
-            ).inc()
+            self.state.add_span(name, g, t0, self.state.now())
 
     # -- reporting -----------------------------------------------------------------------
 

@@ -81,6 +81,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro import obs
 from repro.errors import (
     CommunicatorError,
     RankFailureError,
@@ -115,10 +116,9 @@ from repro.telemetry.blackbox import (
     disarm_signal_dump,
     emit_blackbox,
 )
-from repro.telemetry.recorder import flight, install_sink, is_enabled, live_update
+from repro.telemetry.recorder import install_sink, is_enabled
 from repro.telemetry.shmseg import (
     DEFAULT_SHM_CAPACITY,
-    ShmSink,
     ShmTelemetry,
     remove_runfile,
     write_runfile,
@@ -193,7 +193,7 @@ def _child_main(
     # here must go to a fresh tracer and travel home via the spool.
     parent_tracer = trace_get_tracer()
     child_tracer: Tracer | None = None
-    if parent_tracer is not None and parent_tracer.enabled and spool_dir is not None:
+    if parent_tracer is not None and spool_dir is not None:
         child_tracer = Tracer(span_histograms=parent_tracer.span_histograms_enabled)
         trace_install(child_tracer)
         child_tracer.bind_rank(rank)
@@ -202,8 +202,8 @@ def _child_main(
     if world.telemetry is not None:
         # Events recorded by this rank now land in the shared segment,
         # where the parent can read them even after this process dies.
-        install_sink(ShmSink(world.telemetry))
-        live_update(rank, alive=1.0, phase="start")
+        install_sink(world.telemetry)
+        obs.event("start", rank)
     try:
         comm = ProcComm(world, rank)
         result = fn(comm, *args, **kwargs)
@@ -211,17 +211,16 @@ def _child_main(
         # rank's exit must not read as a crash to peers still working.
         world.state.mark_done(rank)
         payload = ("ok", rank, result)
-        live_update(rank, done=1.0, phase="done")
+        obs.event("finish", rank)
     except (RankKilledError, RankHungError):
         # Expected death (injected fault): already in the failure
         # registry, world revoked — survivors decide whether to recover.
         payload = ("died", rank, None)
-        live_update(rank, alive=0.0, phase="failed")
+        obs.event("failed", rank)
     except BaseException as exc:  # noqa: BLE001 - must not hang peers
         world.state.abort(f"rank {rank} raised {type(exc).__name__}: {exc}")
         payload = _encode_error(rank, exc)
-        flight("abort", rank, detail=f"{type(exc).__name__}: {exc}"[:40])
-        live_update(rank, alive=0.0, phase="failed")
+        obs.event("abort", rank, detail=f"{type(exc).__name__}: {exc}"[:40])
     if child_tracer is not None:
         try:
             from repro.trace.export import write_spool
@@ -456,7 +455,7 @@ class ProcessWorld(UlfmWorld):
         self._spawned = True
         parent_tracer = trace_get_tracer()
         spool_dir = None
-        if parent_tracer is not None and parent_tracer.enabled:
+        if parent_tracer is not None:
             spool_dir = tempfile.mkdtemp(prefix="repro-spool-")
         usr1_armed = False
         if self.telemetry is not None:
@@ -501,6 +500,10 @@ class ProcessWorld(UlfmWorld):
             try:
                 self._note_child_deaths([p for p, _ in procs])
                 self._harvest_blackbox(payloads)
+                if self.telemetry is not None:
+                    # The ranks' live totals reach this process's store and
+                    # registry before the segment is unlinked.
+                    obs.replay(self.telemetry.live_snapshot())
             finally:
                 self.close()
         return self._interpret(payloads, [p for p, _ in procs])
@@ -768,8 +771,7 @@ class ProcComm(UlfmComm, Comm):
         """Injected ``kill``: a *real* SIGKILL to our own pid — peers
         must detect the death from the outside, exactly as they would a
         node OOM-killing the rank."""
-        flight("fault-kill", self._me, detail=op[:40])
-        live_update(self._me, alive=0.0, phase="killed")
+        obs.event("fault-kill", self._me, detail=op[:40])
         os.kill(os.getpid(), signal.SIGKILL)
         raise RankKilledError(  # pragma: no cover - SIGKILL is not catchable
             f"rank {self._me}: injected kill in {op}"

@@ -2,8 +2,8 @@
 
 The tracer (:mod:`repro.trace`) answers "why was this run slow" when
 you *planned* to ask; :mod:`repro.telemetry` answers "what just
-happened" when you didn't.  Three always-available pieces (DESIGN.md
-§13):
+happened" when you didn't.  Three always-available pieces, fed by the
+same :mod:`repro.obs` emit calls as the tracer (DESIGN.md §13):
 
 * **flight recorder** (:mod:`~repro.telemetry.recorder`) — bounded
   per-rank rings of recent events, always armed, dumped as a black-box
@@ -29,19 +29,12 @@ from repro.telemetry.blackbox import (
     set_last_blackbox,
     write_blackbox,
 )
-from repro.telemetry.jsonlog import (
-    JsonLinesLogger,
-    get_logger,
-    log_event,
-    new_correlation_id,
-    set_logger,
-)
+from repro.telemetry.jsonlog import JsonLinesLogger, new_correlation_id
 from repro.telemetry.metrics import (
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    SnapshotWriter,
     counter,
     gauge,
     get_registry,
@@ -50,8 +43,6 @@ from repro.telemetry.metrics import (
 )
 from repro.telemetry.recorder import (
     DEFAULT_CAPACITY,
-    FLIGHT_KINDS,
-    LIVE_FIELDS,
     FlightEvent,
     FlightRecorder,
     configure,
@@ -59,11 +50,8 @@ from repro.telemetry.recorder import (
     get_recorder,
     install_sink,
     is_enabled,
-    live_add,
     live_add_many,
     live_update,
-    record_failure_report,
-    record_resilience_report,
     reset,
 )
 
@@ -72,7 +60,6 @@ from repro.telemetry.recorder import (
 #: imports telemetry leaves back, so an eager import here would cycle.
 _SHMSEG_NAMES = (
     "ShmTelemetry",
-    "ShmSink",
     "DEFAULT_SHM_CAPACITY",
     "monitor_dir",
     "write_runfile",
@@ -90,28 +77,22 @@ def __getattr__(name: str):
 
 __all__ = [
     # recorder
-    "FLIGHT_KINDS",
-    "LIVE_FIELDS",
     "DEFAULT_CAPACITY",
     "FlightEvent",
     "FlightRecorder",
     "flight",
     "live_update",
-    "live_add",
     "live_add_many",
     "get_recorder",
     "install_sink",
     "reset",
     "configure",
     "is_enabled",
-    "record_resilience_report",
-    "record_failure_report",
     # metrics
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "SnapshotWriter",
     "get_registry",
     "counter",
     "gauge",
@@ -120,12 +101,8 @@ __all__ = [
     # jsonlog
     "JsonLinesLogger",
     "new_correlation_id",
-    "get_logger",
-    "set_logger",
-    "log_event",
     # shm segment
     "ShmTelemetry",
-    "ShmSink",
     "DEFAULT_SHM_CAPACITY",
     "monitor_dir",
     "write_runfile",

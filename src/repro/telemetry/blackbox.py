@@ -128,12 +128,9 @@ def emit_blackbox(
     """
     global _dump_counter
     rec = recorder if recorder is not None else _recorder.get_recorder()
-    events = (
-        rec.events_by_rank() if hasattr(rec, "events_by_rank") else {}
-    )
-    live = rec.live_snapshot() if hasattr(rec, "live_snapshot") else None
+    live = rec.live_snapshot()
     dump = build_blackbox(
-        events,
+        rec.events_by_rank(),
         reason=reason,
         nranks=nranks,
         live=live,

@@ -6,9 +6,8 @@ events and trace spans, so log lines interleave with both), the rank
 that emitted it and an optional correlation id tying the line to a
 logical operation (an exchange round, a recovery episode, one FFT).
 
-The logger is *opt-in* (unlike the flight recorder): nothing is
-written until :func:`set_logger` installs a :class:`JsonLinesLogger`,
-and the disabled path of :func:`log_event` is one global load.
+The logger is *opt-in* (unlike the flight recorder): an application
+writes through a :class:`JsonLinesLogger` it owns.
 """
 
 from __future__ import annotations
@@ -23,9 +22,6 @@ from typing import Any, TextIO
 __all__ = [
     "JsonLinesLogger",
     "new_correlation_id",
-    "get_logger",
-    "set_logger",
-    "log_event",
 ]
 
 _corr_lock = threading.Lock()
@@ -109,29 +105,3 @@ class JsonLinesLogger:
 
     def __exit__(self, *exc: Any) -> None:
         self.close()
-
-
-_logger: JsonLinesLogger | None = None
-
-
-def get_logger() -> JsonLinesLogger | None:
-    return _logger
-
-
-def set_logger(logger: JsonLinesLogger | None) -> JsonLinesLogger | None:
-    """Install (or clear, with ``None``) the global structured logger."""
-    global _logger
-    prev = _logger
-    _logger = logger
-    return prev
-
-
-def log_event(event: str, **fields: Any) -> None:
-    """Log through the installed logger; silent no-op when none is set."""
-    logger = _logger
-    if logger is None:
-        return
-    try:
-        logger.log(event, **fields)
-    except Exception:  # noqa: BLE001 - logging must never kill a rank
-        pass

@@ -1,10 +1,10 @@
 """Metrics registry: named counters, gauges and histograms.
 
-Fed from the same instrumentation points as the tracer but independent
-of it — the registry is process-global and always on, so an operator
-can scrape wire vs logical bytes, compression ratios, error-budget
-headroom, pool hit rates and watchdog suspicions from a run that never
-installed a :class:`~repro.trace.core.Tracer`.
+Fed by :mod:`repro.obs` from the same emit calls as the tracer but
+independent of it — the registry is process-global and always on, so an
+operator can scrape wire vs logical bytes, compression ratios,
+error-budget headroom, pool hit rates and recovery phases from a run
+that never installed a :class:`~repro.trace.core.Tracer`.
 
 Exports:
 
@@ -12,7 +12,7 @@ Exports:
   format (``# TYPE`` lines, ``{label="..."}`` series, histogram
   ``_bucket``/``_sum``/``_count`` triples);
 * :meth:`MetricsRegistry.snapshot` — a JSON-able dict, written
-  periodically by :class:`SnapshotWriter` and embedded into black-box
+  by :func:`write_snapshot` and embedded into black-box
   crash dumps.
 
 Metric names follow Prometheus conventions (``repro_wire_bytes_total``,
@@ -28,6 +28,8 @@ import os
 import re
 import threading
 import time
+from bisect import bisect_left
+from itertools import accumulate
 from typing import Any
 
 from repro.telemetry import recorder as _recorder
@@ -37,7 +39,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "SnapshotWriter",
     "get_registry",
     "counter",
     "gauge",
@@ -109,7 +110,7 @@ class Counter(_Metric):
         self._value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
-        if not _recorder.is_enabled():
+        if not _recorder._enabled:
             return
         if amount < 0:
             raise ValueError(f"counter {self.name} cannot decrease (inc {amount})")
@@ -131,13 +132,13 @@ class Gauge(_Metric):
         self._value = 0.0
 
     def set(self, value: float) -> None:
-        if not _recorder.is_enabled():
+        if not _recorder._enabled:
             return
         with self._lock:
             self._value = float(value)
 
     def inc(self, amount: float = 1.0) -> None:
-        if not _recorder.is_enabled():
+        if not _recorder._enabled:
             return
         with self._lock:
             self._value += float(amount)
@@ -162,20 +163,18 @@ class Histogram(_Metric):
         self.buckets = tuple(sorted(float(b) for b in buckets))
         if not self.buckets:
             raise ValueError(f"histogram {name} needs at least one bucket")
-        self._counts = [0] * len(self.buckets)
+        self._counts = [0] * (len(self.buckets) + 1)  # per bucket, +Inf last
         self._sum = 0.0
         self._count = 0
 
     def observe(self, value: float) -> None:
-        if not _recorder.is_enabled():
+        if not _recorder._enabled:
             return
         value = float(value)
         with self._lock:
             self._sum += value
             self._count += 1
-            for i, bound in enumerate(self.buckets):
-                if value <= bound:
-                    self._counts[i] += 1
+            self._counts[bisect_left(self.buckets, value)] += 1
 
     @property
     def count(self) -> int:
@@ -188,9 +187,8 @@ class Histogram(_Metric):
     def cumulative(self) -> list[tuple[float, int]]:
         """(upper bound, cumulative count) pairs, ``+Inf`` last."""
         with self._lock:
-            counts = list(self._counts)
-            total = self._count
-        return [*zip(self.buckets, counts), (float("inf"), total)]
+            counts = list(accumulate(self._counts))
+        return list(zip((*self.buckets, float("inf")), counts))
 
 
 class MetricsRegistry:
@@ -199,6 +197,7 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._metrics: dict[tuple[str, tuple[tuple[str, str], ...]], _Metric] = {}
+        self._handles: dict[tuple[str, tuple], _Metric] = {}
 
     # -- get-or-create ----------------------------------------------------------------
 
@@ -214,6 +213,14 @@ class MetricsRegistry:
                     f"metric {name!r} already registered as {metric.kind}, "
                     f"requested {cls.kind}"
                 )
+        return metric
+
+    def handle(self, cls, name: str, labels: tuple = ()) -> _Metric:
+        """Series by ``(name, labels)`` as given — the emit path's lookup:
+        resolved through :meth:`_series` once, then one dict probe."""
+        metric = self._handles.get((name, labels))
+        if metric is None:
+            metric = self._handles[(name, labels)] = self._series(cls, name, dict(labels))
         return metric
 
     def counter(self, name: str, **labels: Any) -> Counter:
@@ -280,69 +287,7 @@ class MetricsRegistry:
     def clear(self) -> None:
         with self._lock:
             self._metrics.clear()
-
-
-class SnapshotWriter:
-    """Background thread writing periodic JSON snapshots of a registry.
-
-    The file is written atomically (tmp + rename) so a scraper never
-    reads a torn snapshot.  ``stop()`` writes one final snapshot.
-    """
-
-    def __init__(
-        self,
-        path: str,
-        *,
-        registry: MetricsRegistry | None = None,
-        interval: float = 5.0,
-    ) -> None:
-        self.path = path
-        self.registry = registry if registry is not None else get_registry()
-        self.interval = float(interval)
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-        self.writes = 0
-
-    def write_once(self) -> str:
-        payload = self.registry.snapshot()
-        payload["written_at"] = time.time()
-        tmp = f"{self.path}.tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-        os.replace(tmp, self.path)
-        self.writes += 1
-        return self.path
-
-    def _loop(self) -> None:
-        while not self._stop.wait(self.interval):
-            try:
-                self.write_once()
-            except OSError:  # pragma: no cover - disk full etc.
-                pass
-
-    def start(self) -> "SnapshotWriter":
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._loop, name="repro-metrics-snapshot", daemon=True
-            )
-            self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        try:
-            self.write_once()
-        except OSError:  # pragma: no cover
-            pass
-
-    def __enter__(self) -> "SnapshotWriter":
-        return self.start()
-
-    def __exit__(self, *exc: Any) -> None:
-        self.stop()
+            self._handles.clear()
 
 
 # -- module-global registry ------------------------------------------------------------
@@ -367,5 +312,12 @@ def histogram(name: str, buckets: tuple[float, ...] | None = None, **labels: Any
 
 
 def write_snapshot(path: str, *, registry: MetricsRegistry | None = None) -> str:
-    """Write one JSON snapshot of the (default) registry to ``path``."""
-    return SnapshotWriter(path, registry=registry).write_once()
+    """Write one JSON snapshot of the (default) registry to ``path``,
+    atomically (tmp + rename) so a scraper never reads a torn file."""
+    payload = (registry if registry is not None else _registry).snapshot()
+    payload["written_at"] = time.time()
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+    os.replace(tmp, path)
+    return path

@@ -2,10 +2,11 @@
 
 The tracer (:mod:`repro.trace`) is opt-in and unbounded; the flight
 recorder is the opposite — *always armed*, O(capacity) memory per rank,
-and interesting precisely when a run dies.  Every instrumented site
-(exchange rounds, codec decisions, achieved error vs ``e_tol``,
-retries/degradations, heartbeat verdicts, recovery phases) records a
-small fixed-shape :class:`FlightEvent` into the installed *sink*; when
+and interesting precisely when a run dies.  :mod:`repro.obs` records
+small fixed-shape :class:`FlightEvent` objects (exchange rounds,
+achieved error vs ``e_tol``, resilience events, heartbeat verdicts,
+recovery phases) and per-rank live fields into the installed *sink*
+(protocol: ``record`` / ``update`` / ``add_many``); when
 a rank fails, a collective aborts, a retry budget is exhausted or the
 user sends ``SIGUSR1``, the last-N events per rank are dumped as a
 black-box crash report (:mod:`repro.telemetry.blackbox`).
@@ -14,14 +15,13 @@ Two sinks exist:
 
 * :class:`FlightRecorder` (here) — in-process deques, the default, used
   by the thread and virtual runtimes;
-* :class:`~repro.telemetry.shmseg.ShmSink` — a shared-memory segment,
+* :class:`~repro.telemetry.shmseg.ShmTelemetry` — a shared-memory segment,
   installed inside each :class:`~repro.runtime.proc.ProcessWorld` rank
   so the parent can recover a dead child's ring post-mortem.
 
-This module deliberately imports nothing from the rest of the package
-(the runtime, the resilience monitor and the collectives all import
-*it*), and the disabled path is one attribute load + branch so the
-recorder can stay on in production.
+This module deliberately imports nothing from the rest of the package,
+and the disabled path is one attribute load + branch so the recorder
+can stay on in production.
 """
 
 from __future__ import annotations
@@ -29,76 +29,22 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Iterable
+from dataclasses import dataclass
+from typing import Any
 
 __all__ = [
-    "FLIGHT_KINDS",
-    "LIVE_FIELDS",
     "DEFAULT_CAPACITY",
     "FlightEvent",
     "FlightRecorder",
     "flight",
     "live_update",
-    "live_add",
     "live_add_many",
     "get_recorder",
     "install_sink",
     "reset",
     "configure",
     "is_enabled",
-    "record_resilience_report",
-    "record_failure_report",
 ]
-
-#: Event kinds the instrumentation sites record.  Advisory, not
-#: enforced — a new site can introduce a kind without touching this
-#: table, but dumps and the pretty-printer key their grouping off it.
-FLIGHT_KINDS = (
-    "exchange-round",  # one collective exchange completed (value=wire bytes)
-    "error",  # achieved error vs e_tol (value=achieved, value2=headroom)
-    "codec",  # codec selection / change
-    "retry",  # same-codec retry scheduled
-    "degrade",  # degradation ladder stepped down
-    "retransmit",  # a block was re-sent
-    "recovered",  # a previously-failed block decoded cleanly
-    "integrity-failure",  # CRC / magic / version check failed
-    "transient-codec",  # codec call failed transiently
-    "tolerance-exceeded",  # achieved error above e_tol at compress time
-    "budget-exhausted",  # RetryPolicy budget spent
-    "rank-failed",  # watchdog declared a rank dead (value=beacon silence)
-    "detect",  # recovery phases (value=duration seconds) ...
-    "agree",
-    "shrink",
-    "restart",
-    "leader-failover",  # two-level exchange re-elected a node's leaders
-    "exchange-degrade",  # two-level exchange fell back to the flat path
-    "fault-kill",  # injected process kill about to be delivered
-    "fault-hang",  # injected process hang parked a rank
-    "phase",  # coarse execution phase change (detail=phase name)
-    "fft",  # one FFT plan execution started/finished
-    "abort",  # world abort / kernel exception
-)
-
-#: Live per-rank gauge fields mirrored by every sink (names are the
-#: contract between instrumentation sites, the shm segment layout and
-#: the monitor table).
-LIVE_FIELDS = (
-    "alive",
-    "done",
-    "heartbeat_ns",
-    "rounds",
-    "wire_bytes",
-    "logical_bytes",
-    "achieved_error",
-    "error_headroom",
-    "e_tol",
-    "retries",
-    "degradations",
-    "pool_hits",
-    "pool_misses",
-    "events",
-)
 
 #: Ring capacity (events per rank) of the default in-process recorder.
 DEFAULT_CAPACITY = 256
@@ -121,31 +67,7 @@ class FlightEvent:
     detail: str = ""
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "rank": self.rank,
-            "t_ns": self.t_ns,
-            "seq": self.seq,
-            "peer": self.peer,
-            "round": self.round,
-            "value": self.value,
-            "value2": self.value2,
-            "detail": self.detail,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict[str, Any]) -> "FlightEvent":
-        return cls(
-            kind=str(obj.get("kind", "")),
-            rank=int(obj.get("rank", -1)),
-            t_ns=int(obj.get("t_ns", 0)),
-            seq=int(obj.get("seq", 0)),
-            peer=int(obj.get("peer", -1)),
-            round=int(obj.get("round", -1)),
-            value=float(obj.get("value", 0.0)),
-            value2=float(obj.get("value2", 0.0)),
-            detail=str(obj.get("detail", "")),
-        )
+        return {name: getattr(self, name) for name in self.__slots__}
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         peer = f" peer={self.peer}" if self.peer >= 0 else ""
@@ -156,17 +78,8 @@ class FlightEvent:
         )
 
 
-def _now_ns() -> int:
-    """CLOCK_MONOTONIC nanoseconds — comparable across forked ranks."""
-    return time.perf_counter_ns()
-
-
-@dataclass
-class _RankLive:
-    """Mutable live state of one rank (the monitor-table row)."""
-
-    phase: str = ""
-    fields: dict[str, float] = field(default_factory=dict)
+#: CLOCK_MONOTONIC nanoseconds — comparable across forked ranks.
+_now_ns = time.perf_counter_ns
 
 
 class FlightRecorder:
@@ -183,10 +96,17 @@ class FlightRecorder:
         self.capacity = int(capacity)
         self._lock = threading.Lock()
         self._rings: dict[int, deque[FlightEvent]] = {}
-        self._live: dict[int, _RankLive] = {}
+        self._live: dict[int, dict[str, Any]] = {}  # rank -> {"phase": ..., <field>: ...}
         self._seq = 0
 
-    # -- sink protocol (shared with ShmSink) ----------------------------------------
+    def _row(self, rank: int) -> dict[str, Any]:
+        """One rank's live row (caller holds the lock)."""
+        row = self._live.get(rank)
+        if row is None:
+            row = self._live[rank] = {"phase": ""}
+        return row
+
+    # -- sink protocol (shared with ShmTelemetry) ----------------------------------------
 
     def record(
         self,
@@ -211,25 +131,16 @@ class FlightRecorder:
                 ring = deque(maxlen=self.capacity)
                 self._rings[rank] = ring
             ring.append(event)
-            live = self._live.setdefault(rank, _RankLive())
-            live.fields["events"] = live.fields.get("events", 0.0) + 1.0
-            live.fields["heartbeat_ns"] = float(now)
+            row = self._row(rank)
+            row["events"] = row.get("events", 0.0) + 1.0
+            row["heartbeat_ns"] = float(now)
         return event
 
     def update(self, rank: int, updates: dict[str, Any]) -> None:
         with self._lock:
-            live = self._live.setdefault(int(rank), _RankLive())
-            for key, val in updates.items():
-                if key == "phase":
-                    live.phase = str(val)
-                else:
-                    live.fields[key] = float(val)
-            live.fields["heartbeat_ns"] = float(_now_ns())
-
-    def add(self, rank: int, name: str, delta: float) -> None:
-        with self._lock:
-            live = self._live.setdefault(int(rank), _RankLive())
-            live.fields[name] = live.fields.get(name, 0.0) + float(delta)
+            row = self._row(int(rank))
+            row.update(updates)
+            row["heartbeat_ns"] = float(_now_ns())
 
     def add_many(
         self,
@@ -241,17 +152,13 @@ class FlightRecorder:
         acquisition — the per-exchange hot path publishes its round
         counters and error gauges through a single call here."""
         with self._lock:
-            fields = self._live.setdefault(int(rank), _RankLive()).fields
+            row = self._row(int(rank))
             for name, delta in deltas.items():
-                fields[name] = fields.get(name, 0.0) + float(delta)
+                row[name] = row.get(name, 0.0) + delta
             if sets:
-                fields.update(sets)
+                row.update(sets)
 
     # -- introspection ---------------------------------------------------------------
-
-    def ranks(self) -> list[int]:
-        with self._lock:
-            return sorted(self._rings)
 
     def events(self, rank: int | None = None) -> list[FlightEvent]:
         """Snapshot of one rank's ring (or every ring, seq-ordered)."""
@@ -270,12 +177,7 @@ class FlightRecorder:
     def live_snapshot(self) -> dict[int, dict[str, Any]]:
         """Per-rank live state: ``{rank: {"phase": ..., <field>: ...}}``."""
         with self._lock:
-            out: dict[int, dict[str, Any]] = {}
-            for rank, live in self._live.items():
-                row: dict[str, Any] = {"phase": live.phase}
-                row.update(live.fields)
-                out[rank] = row
-            return out
+            return {rank: dict(row) for rank, row in self._live.items()}
 
     def clear(self) -> None:
         with self._lock:
@@ -320,7 +222,7 @@ def get_recorder() -> Any:
 def install_sink(sink: Any) -> Any:
     """Swap the global sink (returns the previous one).
 
-    The process runtime installs a :class:`~repro.telemetry.shmseg.ShmSink`
+    The process runtime installs its :class:`~repro.telemetry.shmseg.ShmTelemetry`
     inside each forked rank so events land in shared memory.
     """
     global _sink
@@ -358,21 +260,11 @@ def flight(
 
 
 def live_update(rank: int, **fields: Any) -> None:
-    """Set live per-rank gauges (``phase`` plus any :data:`LIVE_FIELDS`)."""
+    """Set live per-rank fields (``phase`` plus any live kind of :data:`repro.obs.KINDS`)."""
     if not _enabled:
         return
     try:
         _sink.update(rank, fields)
-    except Exception:  # noqa: BLE001
-        pass
-
-
-def live_add(rank: int, name: str, delta: float) -> None:
-    """Accumulate one live per-rank gauge."""
-    if not _enabled:
-        return
-    try:
-        _sink.add(rank, name, delta)
     except Exception:  # noqa: BLE001
         pass
 
@@ -382,67 +274,11 @@ def live_add_many(
     deltas: dict[str, float],
     sets: dict[str, float] | None = None,
 ) -> None:
-    """Accumulate (``deltas``) and set (``sets``) live per-rank gauges in
-    one sink call.
-
-    Falls back to per-field :meth:`add` / :meth:`update` for sinks that
-    predate the batched protocol method.
-    """
+    """Accumulate (``deltas``) and set (``sets``) live per-rank fields in
+    one sink call."""
     if not _enabled:
         return
     try:
-        add_many = getattr(_sink, "add_many", None)
-        if add_many is not None:
-            add_many(rank, deltas, sets)
-        else:
-            for name, delta in deltas.items():
-                _sink.add(rank, name, delta)
-            if sets:
-                _sink.update(rank, sets)
+        _sink.add_many(rank, deltas, sets)
     except Exception:  # noqa: BLE001
         pass
-
-
-# -- report folding -------------------------------------------------------------------
-
-
-def record_resilience_report(report: Any, *, round_: int = -1) -> None:
-    """Fold a :class:`~repro.faults.ResilienceReport` into the ring.
-
-    Each recovery event (retry, degrade, retransmit, ...) becomes one
-    flight event attributed to the report's rank, so crash dumps show
-    what the self-healing machinery did even with no tracer installed.
-    """
-    if not _enabled or report is None:
-        return
-    events: Iterable[Any] = getattr(report, "events", ())
-    for ev in events:
-        flight(
-            ev.kind,
-            ev.rank,
-            peer=getattr(ev, "peer", -1),
-            round_=round_,
-            value=float(getattr(ev, "attempt", 0)),
-            detail=(getattr(ev, "codec", None) or getattr(ev, "detail", "") or "")[:40],
-        )
-
-
-def record_failure_report(report: Any) -> None:
-    """Fold a :class:`~repro.resilience.monitor.FailureReport` into the ring.
-
-    Declared failures become ``rank-failed`` events and recovery phase
-    spans become ``detect``/``agree``/``shrink``/``restart`` events
-    (value = duration in seconds), so the detect → agree → shrink →
-    restart timeline survives into black-box dumps.
-    """
-    if not _enabled or report is None:
-        return
-    for failure in getattr(report, "failures", ()):
-        flight(
-            "rank-failed",
-            failure.rank,
-            value=float(getattr(failure, "last_beat_age", 0.0)),
-            detail=f"{failure.kind}/{failure.classification}"[:40],
-        )
-    for span in getattr(report, "phase_spans", ()):
-        flight(span.name, span.rank, value=float(span.duration))

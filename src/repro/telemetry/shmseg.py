@@ -7,9 +7,9 @@ rings *in shared memory*: one fixed-size segment per world (named
 crash-sweep and the leak fixture cover it for free), holding for each
 rank
 
-* a **live block** — :data:`~repro.telemetry.recorder.LIVE_FIELDS`
-  as f64 slots plus a 16-byte phase string, the row the live monitor
-  renders;
+* a **live block** — one f64 slot per live kind of
+  :data:`repro.obs.KINDS` plus a 16-byte phase string, the row the
+  live monitor renders;
 * a **flight ring** — a monotonic write counter and ``capacity``
   fixed 104-byte event records.
 
@@ -41,12 +41,12 @@ from multiprocessing.shared_memory import SharedMemory
 from typing import Any
 
 from repro.errors import TelemetryError
+from repro.obs import KINDS
 from repro.runtime.shm import quiet_close
-from repro.telemetry.recorder import LIVE_FIELDS, FlightEvent
+from repro.telemetry.recorder import FlightEvent
 
 __all__ = [
     "ShmTelemetry",
-    "ShmSink",
     "monitor_dir",
     "write_runfile",
     "remove_runfile",
@@ -57,11 +57,11 @@ _MAGIC = b"RPROTEL1"
 _HEADER = struct.Struct("<8sII")  # magic, nranks, capacity
 _HEADER_BYTES = 64
 
-#: f64 slots reserved per rank (>= len(LIVE_FIELDS), room to grow
-#: without a layout version bump).
-_LIVE_SLOTS = 16
+#: slot index per live field name (phase is stored separately).
+_FIELD_SLOT = {name: i for i, name in enumerate(k for k, row in KINDS.items() if row.live)}
+_LIVE_SLOTS = len(_FIELD_SLOT)
 _PHASE_BYTES = 16
-_LIVE_BYTES = _LIVE_SLOTS * 8 + _PHASE_BYTES  # 144, 8-aligned
+_LIVE_BYTES = _LIVE_SLOTS * 8 + _PHASE_BYTES  # 8-aligned
 
 _RING_HEADER = 16  # u64 write counter + pad
 _EV = struct.Struct("<Qqiiqdd16s40s")  # see module docstring
@@ -69,9 +69,6 @@ _EV_BYTES = _EV.size  # 104
 
 _U64 = struct.Struct("<Q")
 _F64 = struct.Struct("<d")
-
-#: slot index per live field name (phase is stored separately).
-_FIELD_SLOT = {name: i for i, name in enumerate(LIVE_FIELDS)}
 
 #: Default events retained per rank.
 DEFAULT_SHM_CAPACITY = 256
@@ -83,7 +80,13 @@ def _trunc(text: str, limit: int) -> bytes:
 
 class ShmTelemetry:
     """One world's telemetry segment (create in the parent, inherit or
-    attach everywhere else)."""
+    attach everywhere else).
+
+    It is itself a recorder sink (``record`` / ``update`` /
+    ``add_many``): each forked rank installs the inherited segment with
+    ``install_sink(seg)``; the rank passed at each call addresses the
+    block, so one object serves every rank of the world.
+    """
 
     def __init__(
         self,
@@ -138,6 +141,8 @@ class ShmTelemetry:
         return self._live_off(rank) + _LIVE_BYTES
 
     def _check_rank(self, rank: int) -> int:
+        if self._closed:
+            raise TelemetryError(f"telemetry segment {self.name!r} is closed")
         rank = int(rank)
         if not 0 <= rank < self.nranks:
             raise TelemetryError(f"rank {rank} out of range [0, {self.nranks})")
@@ -212,11 +217,6 @@ class ShmTelemetry:
                     self._set_locked(rank, key, float(val))
             self._set_locked(rank, "heartbeat_ns", float(time.perf_counter_ns()))
 
-    def add(self, rank: int, name: str, delta: float) -> None:
-        rank = self._check_rank(rank)
-        with self._write_locks[rank]:
-            self._bump_locked(rank, name, delta)
-
     def add_many(
         self,
         rank: int,
@@ -231,10 +231,6 @@ class ShmTelemetry:
             if sets:
                 for name, val in sets.items():
                     self._set_locked(rank, name, float(val))
-
-    def heartbeat(self, rank: int) -> None:
-        rank = self._check_rank(rank)
-        self._set_locked(rank, "heartbeat_ns", float(time.perf_counter_ns()))
 
     # -- read side (parent / monitor) ------------------------------------------------
 
@@ -300,44 +296,6 @@ class ShmTelemetry:
             self.shm.unlink()
         except FileNotFoundError:
             pass
-
-
-class ShmSink:
-    """Flight-recorder sink writing into a :class:`ShmTelemetry` segment.
-
-    Installed in each forked rank (``install_sink(ShmSink(seg))``); the
-    rank passed at each call site addresses the block, so one sink
-    object serves any rank of the world.
-    """
-
-    def __init__(self, segment: ShmTelemetry) -> None:
-        self.segment = segment
-
-    def record(
-        self,
-        kind: str,
-        rank: int,
-        peer: int = -1,
-        round_: int = -1,
-        value: float = 0.0,
-        value2: float = 0.0,
-        detail: str = "",
-    ) -> None:
-        self.segment.record(kind, rank, peer, round_, value, value2, detail)
-
-    def update(self, rank: int, updates: dict[str, Any]) -> None:
-        self.segment.update(rank, updates)
-
-    def add(self, rank: int, name: str, delta: float) -> None:
-        self.segment.add(rank, name, delta)
-
-    def add_many(
-        self,
-        rank: int,
-        deltas: dict[str, float],
-        sets: dict[str, float] | None = None,
-    ) -> None:
-        self.segment.add_many(rank, deltas, sets)
 
 
 # -- runfile discovery (how `python -m repro monitor` finds live worlds) ---------------

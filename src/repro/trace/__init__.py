@@ -1,17 +1,17 @@
 """repro.trace — per-rank tracing, metrics and exporters.
 
-The always-available observability layer: nestable spans with the
-paper's time-decomposition taxonomy (pack / compress / put / fence /
+The opt-in observability layer: nestable spans with the paper's
+time-decomposition taxonomy (pack / compress / put / fence /
 decompress / unpack / local_fft / retry), typed counters (logical and
-wire bytes, messages, retries, degradations), Chrome ``trace_event``
+wire bytes, messages, retries, degradations) — the vocabulary is
+:data:`repro.obs.KINDS`, and instrumented code emits through
+:mod:`repro.obs` — Chrome ``trace_event``
 export with one lane per rank, aggregated text summaries and the
 ``BENCH_*.json`` emitter.  See DESIGN.md §7.
 """
 
 from repro.trace.bench import BENCH_SCHEMA, bench_payload, write_bench_json
 from repro.trace.core import (
-    COUNTER_KINDS,
-    SPAN_KINDS,
     InstantEvent,
     SpanEvent,
     Tracer,
@@ -20,7 +20,6 @@ from repro.trace.core import (
     incr,
     install,
     instant,
-    record_report,
     span,
     tracing,
     uninstall,
@@ -33,8 +32,6 @@ from repro.trace.export import (
 )
 
 __all__ = [
-    "SPAN_KINDS",
-    "COUNTER_KINDS",
     "SpanEvent",
     "InstantEvent",
     "Tracer",
@@ -46,7 +43,6 @@ __all__ = [
     "instant",
     "incr",
     "bind_rank",
-    "record_report",
     "chrome_trace",
     "write_chrome_trace",
     "summarize",

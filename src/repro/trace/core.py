@@ -11,9 +11,11 @@ design constraints drive the shape of this module:
 * **thread safety** — each thread appends to its own buffer (created
   lazily, registered under a lock); buffers are merged only at export
   time, so the hot path takes no locks.
-* **zero overhead when disabled** — the module-level helpers
+* **zero overhead when uninstalled** — the module-level helpers
   (:func:`span`, :func:`incr`, …) short-circuit to shared no-op objects
-  when no tracer is installed; instrumented code never needs an ``if``.
+  when no tracer is installed.  Instrumented code reaches the tracer
+  through :mod:`repro.obs`, which fans each emit out to the tracer and
+  the always-on views.
 
 Usage, SPMD::
 
@@ -39,8 +41,6 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator, Sequence
 
 __all__ = [
-    "SPAN_KINDS",
-    "COUNTER_KINDS",
     "SpanEvent",
     "InstantEvent",
     "Tracer",
@@ -52,43 +52,7 @@ __all__ = [
     "instant",
     "incr",
     "bind_rank",
-    "record_report",
 ]
-
-#: Span taxonomy.  The first eight are the paper's time-decomposition
-#: stages (Alg. 1 / Alg. 3); the rest structure the stream.
-SPAN_KINDS = (
-    "pack",  # extract the contiguous chunk owed to one destination
-    "compress",  # codec encode (incl. wire framing) for one destination
-    "put",  # one-sided write into a remote window
-    "fence",  # RMA epoch open/close synchronisation
-    "decompress",  # frame walk + codec decode of one source block
-    "unpack",  # insert a received chunk into the output block
-    "local_fft",  # batched 1-D FFT phase on the local block
-    "retry",  # recovery rounds (retransmission protocol)
-    "sendrecv",  # one two-sided ring step (pairwise algorithm)
-    "exchange",  # whole all-to-all of one reshape (parent span)
-    "fft",  # one full Fft3d transform (outermost parent span)
-    "checkpoint",  # CRC-framed pencil checkpoint save/load (resilience)
-    "detect",  # failure detection window (last beacon -> declaration)
-    "agree",  # fault-aware agreement on the survivor set (ULFM agree)
-    "shrink",  # communicator rebuild over the survivors (ULFM shrink)
-    "restart",  # checkpointed FFT resume on the shrunk communicator
-)
-
-#: Typed counters accumulated per (rank, name).
-COUNTER_KINDS = (
-    "messages",  # wire messages sent by this rank
-    "logical_bytes",  # uncompressed payload volume sent
-    "wire_bytes",  # bytes actually on the wire after compression
-    "retries",  # recovery retries (from resilience reports)
-    "degradations",  # codec ladder step-downs
-    "retransmissions",  # blocks re-sent during recovery
-    "pool_hits",  # staging-buffer acquisitions served from the pool
-    "pool_misses",  # staging-buffer acquisitions that had to allocate
-    "internode_messages",  # aggregated NIC-crossing messages (two-level exchange)
-)
-
 
 @dataclass
 class SpanEvent:
@@ -174,28 +138,18 @@ class _Span:
         buf = self._buf
         buf.depth = self._depth
         rank = self._rank if self._rank is not None else buf.rank
-        hist_factory = self._tracer._hist_factory
-        if hist_factory is not None:
-            # Bounded-memory mode: fold the duration into a streaming
-            # histogram instead of retaining the span (attrs are dropped).
-            key = (rank, self._kind)
-            hist = buf.histograms.get(key)
-            if hist is None:
-                hist = buf.histograms[key] = hist_factory()
-            hist.add(t1 - self._t0)
-        else:
-            buf.spans.append(SpanEvent(self._kind, rank, self._t0, t1, self._depth, self._attrs))
+        self._tracer._store(buf, self._kind, rank, self._t0, t1, self._depth, self._attrs)
         return False
 
 
 class Tracer:
     """Per-process trace collector; one instance per measured run.
 
+    The span and counter vocabulary is :data:`repro.obs.KINDS`; the
+    tracer itself accepts any name.
+
     Parameters
     ----------
-    enabled:
-        ``False`` makes every recording method a no-op (the object can
-        stay installed; useful for toggling without re-plumbing).
     clock:
         Nanosecond monotonic clock (overridable for deterministic tests).
     span_histograms:
@@ -210,11 +164,9 @@ class Tracer:
     def __init__(
         self,
         *,
-        enabled: bool = True,
         clock=time.perf_counter_ns,
         span_histograms: bool = False,
     ) -> None:
-        self.enabled = bool(enabled)
         self._clock = clock
         self._lock = threading.Lock()
         self._buffers: list[_ThreadBuffer] = []
@@ -248,14 +200,10 @@ class Tracer:
 
     def span(self, kind: str, *, rank: int | None = None, **attrs: Any):
         """Open a nestable span; use as a context manager."""
-        if not self.enabled:
-            return _NULL_SPAN
         return _Span(self, self._buf(), kind, rank, attrs)
 
     def instant(self, kind: str, *, rank: int | None = None, **attrs: Any) -> None:
         """Record a point event."""
-        if not self.enabled:
-            return
         buf = self._buf()
         r = rank if rank is not None else buf.rank
         buf.instants.append(InstantEvent(kind, r, self._clock(), attrs))
@@ -276,20 +224,21 @@ class Tracer:
         The end timestamp comes from this tracer's clock, so the span
         lines up with context-manager spans in the Chrome export.
         """
-        if not self.enabled:
-            return
         buf = self._buf()
         r = rank if rank is not None else buf.rank
-        duration = max(0, int(duration_ns))
-        if self._hist_factory is not None:
-            key = (r, kind)
-            hist = buf.histograms.get(key)
-            if hist is None:
-                hist = buf.histograms[key] = self._hist_factory()
-            hist.add(duration)
-        else:
-            t1 = self._clock()
-            buf.spans.append(SpanEvent(kind, r, t1 - duration, t1, buf.depth, attrs))
+        t1 = self._clock()
+        self._store(buf, kind, r, t1 - max(0, int(duration_ns)), t1, buf.depth, attrs)
+
+    def _store(self, buf, kind, rank, t0, t1, depth, attrs) -> None:
+        """Keep a closed span — or, in bounded-memory mode, fold its
+        duration into a per-(rank, kind) histogram (attrs dropped)."""
+        if self._hist_factory is None:
+            buf.spans.append(SpanEvent(kind, rank, t0, t1, depth, attrs))
+            return
+        hist = buf.histograms.get((rank, kind))
+        if hist is None:
+            hist = buf.histograms[(rank, kind)] = self._hist_factory()
+        hist.add(t1 - t0)
 
     def incr(self, name: str, value: float = 1, *, rank: int | None = None) -> None:
         """Add ``value`` to counter ``name`` on ``rank``.
@@ -298,41 +247,12 @@ class Tracer:
         exporters can render counters as time series (Chrome ``ph: "C"``
         lanes); histogram mode keeps only the running totals.
         """
-        if not self.enabled:
-            return
         buf = self._buf()
         r = rank if rank is not None else buf.rank
         key = (r, name)
         buf.counters[key] = buf.counters.get(key, 0) + value
         if self._hist_factory is None:
             buf.samples.append((self._clock(), r, name, value))
-
-    def record_report(self, report: Any, *, rank: int | None = None) -> None:
-        """Fold a :class:`~repro.faults.ResilienceReport` into the stream.
-
-        Each resilience event becomes an instant of the same kind
-        (``integrity-failure``, ``retry``, ``degrade``, …); the retry /
-        degradation / retransmission tallies feed the typed counters.
-        """
-        if not self.enabled or report is None:
-            return
-        r = rank if rank is not None else (report.rank if report.rank >= 0 else None)
-        for event in report.events:
-            self.instant(
-                event.kind,
-                rank=r,
-                peer=event.peer,
-                attempt=event.attempt,
-                codec=event.codec or "",
-                detail=event.detail,
-            )
-        for name, value in (
-            ("retries", report.retries),
-            ("degradations", report.degradations),
-            ("retransmissions", report.retransmissions),
-        ):
-            if value:
-                self.incr(name, value, rank=r)
 
     # -- export-side accessors ------------------------------------------------------
 
@@ -478,7 +398,7 @@ def tracing(**kwargs: Any) -> Iterator[Tracer]:
 def span(kind: str, *, rank: int | None = None, **attrs: Any):
     """Open a span on the active tracer (no-op context when disabled)."""
     t = _active
-    if t is None or not t.enabled:
+    if t is None:
         return _NULL_SPAN
     return _Span(t, t._buf(), kind, rank, attrs)
 
@@ -502,10 +422,3 @@ def bind_rank(rank: int) -> None:
     t = _active
     if t is not None:
         t.bind_rank(rank)
-
-
-def record_report(report: Any, *, rank: int | None = None) -> None:
-    """Fold a resilience report into the active tracer's stream."""
-    t = _active
-    if t is not None:
-        t.record_report(report, rank=rank)

@@ -187,7 +187,7 @@ class TestTracerSpooling:
         from repro.trace import get_tracer, install
         from repro.trace.core import Tracer
 
-        tracer = Tracer(enabled=True)
+        tracer = Tracer()
         previous = get_tracer()
         install(tracer)
         try:

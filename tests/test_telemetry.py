@@ -17,17 +17,27 @@ import threading
 import numpy as np
 import pytest
 
-from repro.collectives import CompressedOscAlltoallv, TwoLevelCompressedAlltoallv
+from repro import obs
+from repro.collectives import (
+    CompressedOscAlltoallv,
+    OscAlltoallv,
+    TwoLevelCompressedAlltoallv,
+    pairwise_alltoallv,
+)
 from repro.compression import CastCodec, ShuffleZlibCodec
 from repro.errors import TelemetryError
+from repro.faults import FaultPlan, FaultRule, RetryPolicy
+from repro.fft.decomposition import brick_decomposition, pencil_decomposition
+from repro.fft.reshape import ReshapePlan
 from repro.machine.spec import GpuSpec, MachineSpec, NetworkSpec
 from repro.machine.topology import Topology
-from repro.runtime import run_spmd
+from repro.runtime import make_world, run_spmd
 from repro.telemetry import blackbox as bb
 from repro.telemetry import jsonlog, metrics, recorder
 from repro.telemetry.monitor_cli import render_table, run_monitor_cli
-from repro.telemetry.recorder import FlightRecorder, flight, live_add, live_update
-from repro.telemetry.shmseg import ShmSink, ShmTelemetry
+from repro.telemetry.recorder import FlightRecorder, flight, live_add_many, live_update
+from repro.telemetry.shmseg import ShmTelemetry
+from repro.trace import tracing
 
 
 # -- flight recorder -------------------------------------------------------------------
@@ -56,7 +66,7 @@ class TestFlightRecorder:
     def test_module_level_helpers_hit_default_recorder(self):
         flight("codec", 3, detail="cast_fp32")
         live_update(3, phase="pack", alive=1.0)
-        live_add(3, "rounds", 2.0)
+        live_add_many(3, {"rounds": 2.0})
         rec = recorder.get_recorder()
         assert rec.events(3)[0].kind == "codec"
         live = rec.live_snapshot()[3]
@@ -85,14 +95,14 @@ class TestFlightRecorder:
             def update(self, *a, **k):
                 raise RuntimeError("sink down")
 
-            def add(self, *a, **k):
+            def add_many(self, *a, **k):
                 raise RuntimeError("sink down")
 
         recorder.install_sink(Broken())
         try:
             flight("error", 0)  # must not propagate: telemetry is best-effort
             live_update(0, alive=1.0)
-            live_add(0, "rounds", 1.0)
+            live_add_many(0, {"rounds": 1.0})
         finally:
             recorder.install_sink(None)
 
@@ -102,9 +112,9 @@ class TestFlightRecorder:
         report = ResilienceReport(rank=2)
         report.record("retry", peer=1, attempt=0, codec="cast_fp32")
         report.record("degrade", peer=1, codec="shuffle-zlib", detail="e_tol")
-        recorder.record_resilience_report(report, round_=7)
+        obs.publish_round(obs.ExchangeStats(), report, round_=7)
         kinds = [e.kind for e in recorder.get_recorder().events(2)]
-        assert kinds == ["retry", "degrade"]
+        assert kinds == ["exchange-round", "retry", "degrade"]
         assert all(e.round == 7 for e in recorder.get_recorder().events(2))
 
 
@@ -202,7 +212,7 @@ class TestShmTelemetry:
         try:
             seg.record("exchange-round", 1, round_=3, value=512.0, detail="cast_fp32")
             seg.update(1, {"phase": "exchange", "rounds": 3.0})
-            seg.add(1, "wire_bytes", 512.0)
+            seg.add_many(1, {"wire_bytes": 512.0})
             other = ShmTelemetry.attach("tlmtest-rt")
             try:
                 (ev,) = other.events(1)
@@ -239,10 +249,17 @@ class TestShmTelemetry:
             raw.close()
             raw.unlink()
 
+    def test_closed_segment_raises_telemetry_error(self):
+        seg = ShmTelemetry("tlmtest-closed", 1, capacity=4)
+        seg.destroy()
+        for read in (seg.live_snapshot, seg.events_by_rank):
+            with pytest.raises(TelemetryError, match="tlmtest-closed.*closed"):
+                read()
+
     def test_shm_sink_feeds_module_helpers(self):
         seg = ShmTelemetry("tlmtest-sink", 2, capacity=8)
         try:
-            recorder.install_sink(ShmSink(seg))
+            recorder.install_sink(seg)
             try:
                 flight("fft", 0, value=2.0, detail="fft 8^3")
                 live_update(0, alive=1.0, phase="local_fft")
@@ -395,17 +412,79 @@ class TestErrorHeadroom:
             assert 0.0 < st.achieved_error <= self.E_TOL
         self._assert_headroom_never_negative(p)
 
-    def test_exchange_emits_flight_and_wire_counters(self):
-        p = 2
-        self._run(p, CompressedOscAlltoallv, lambda: CastCodec("fp32"))
+    @pytest.mark.parametrize(
+        "runtime,cell",
+        [
+            ("thread", "flat"),
+            ("thread", "two-level"),
+            ("thread", "osc"),
+            ("thread", "osc-verify-bitflip"),
+            ("thread", "pairwise"),
+            ("thread", "reference"),
+            ("proc", "flat"),
+            ("proc", "osc"),
+        ],
+        ids=lambda v: v,
+    )
+    def test_exchange_emits_flight_and_wire_counters(self, runtime, cell):
+        """Every surface reports the same round: after one exchange, the
+        tracer counters, the registry's per-rank series and the live
+        totals agree on every rank, for every exchange path."""
+        p = 4
+        faults = None
+        if cell == "osc-verify-bitflip":
+            faults = FaultPlan([FaultRule("bitflip", rank=0, peer=1)], seed=21)
+        plan = ReshapePlan(
+            brick_decomposition((8, 8, 8), p), pencil_decomposition((8, 8, 8), p, 0)
+        )
+        x = np.arange(512, dtype=np.float64).reshape(8, 8, 8)
+
+        def kernel(comm):
+            if cell in ("pairwise", "reference"):
+                box = plan.src.box_of(comm.rank)
+                block = x[tuple(slice(lo, hi) for lo, hi in zip(box.lo, box.hi))]
+                plan.run_spmd(comm, np.ascontiguousarray(block), method=cell)
+                return 0
+            payloads = _payloads(comm.rank, comm.size)
+            if cell.startswith("osc"):
+                policy = RetryPolicy(max_attempts=2, base_delay=1e-4, max_delay=1e-3)
+                op = OscAlltoallv(comm, verify=cell != "osc", retry_policy=policy)
+            elif cell == "two-level":
+                op = TwoLevelCompressedAlltoallv(
+                    comm, CastCodec("fp32"), e_tol=self.E_TOL, topology=_topology(p, 2)
+                )
+            else:
+                op = CompressedOscAlltoallv(comm, CastCodec("fp32"), e_tol=self.E_TOL)
+            try:
+                op(payloads)
+            finally:
+                op.free()
+            return op.last_report.retries
+
+        world = make_world(runtime, p, faults=faults)
+        with tracing() as tracer:
+            retries = world.run(kernel)
         reg = metrics.get_registry()
+        live = recorder.get_recorder().live_snapshot()
+        counters = tracer.counters()
+        if cell == "osc-verify-bitflip":
+            assert sum(retries) >= 1  # the fault fired and was retried
         for rank in range(p):
             assert reg.counter("repro_exchange_rounds_total", rank=rank).value == 1
-            wire = reg.counter("repro_wire_bytes_total", rank=rank).value
-            logical = reg.counter("repro_logical_bytes_total", rank=rank).value
-            assert 0 < wire < logical  # fp32 cast halves the wire bytes
-            kinds = [e.kind for e in recorder.get_recorder().events(rank)]
-            assert "exchange-round" in kinds and "error" in kinds
+            assert live[rank]["rounds"] == 1
+            for name in ("messages", "logical_bytes", "wire_bytes", "retries"):
+                traced = counters.get((rank, name), 0)
+                series = reg.counter(f"repro_{name}_total", rank=rank).value
+                assert traced == series == live[rank].get(name, 0.0), (rank, name)
+            assert counters.get((rank, "messages"), 0) > 0
+            if cell in ("flat", "two-level"):
+                wire = counters[(rank, "wire_bytes")]
+                assert 0 < wire < counters[(rank, "logical_bytes")]  # fp32 halves it
+            if runtime == "thread":
+                kinds = [e.kind for e in recorder.get_recorder().events(rank)]
+                assert "exchange-round" in kinds
+                if cell in ("flat", "two-level"):
+                    assert "error" in kinds
 
 
 # -- live monitor rendering ------------------------------------------------------------

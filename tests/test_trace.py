@@ -7,12 +7,11 @@ import json
 import numpy as np
 import pytest
 
-from repro import trace
+from repro import obs, trace
 from repro.compression.base import IdentityCodec
 from repro.fft.plan import Fft3d, FftStats
 from repro.runtime.thread_rt import ThreadWorld
 from repro.trace import (
-    SPAN_KINDS,
     Tracer,
     bench_payload,
     chrome_trace,
@@ -94,7 +93,11 @@ class TestTracerCore:
         report.record("integrity-failure", peer=1)
         report.record("retry", peer=1, attempt=0, codec="zfp")
         report.record("degrade", peer=1, codec="shuffle-zlib")
-        tracer.record_report(report)
+        trace.install(tracer)
+        try:
+            obs.publish_round(obs.ExchangeStats(), report)
+        finally:
+            trace.uninstall()
         kinds = [i.kind for i in tracer.instant_events()]
         assert kinds == ["integrity-failure", "retry", "degrade"]
         assert all(i.rank == 4 for i in tracer.instant_events())
@@ -110,18 +113,7 @@ class TestDisabledTracer:
         trace.incr("wire_bytes", 10, rank=0)
         trace.instant("retry", rank=0)
         trace.bind_rank(5)
-        trace.record_report(ResilienceReport(rank=0))
         assert trace.get_tracer() is None
-
-    def test_disabled_tracer_records_nothing(self):
-        tracer = Tracer(enabled=False)
-        with tracer.span("pack", rank=0):
-            pass
-        tracer.incr("messages", rank=0)
-        tracer.instant("retry", rank=0)
-        assert tracer.span_events() == []
-        assert tracer.instant_events() == []
-        assert tracer.counters() == {}
 
     def test_tracing_context_installs_and_restores(self):
         assert trace.get_tracer() is None
@@ -254,7 +246,7 @@ class TestTracedFft:
         kinds = {e.kind for e in tracer.span_events()}
         for kind in ("pack", "compress", "put", "fence", "decompress", "unpack", "local_fft"):
             assert kind in kinds, f"missing span kind {kind}"
-        assert kinds <= set(SPAN_KINDS)
+        assert all(obs.KINDS[k].span for k in kinds)
         assert tracer.ranks() == list(range(nranks))
         # tracer counters agree with the stats objects, per criterion
         assert tracer.counter_total("wire_bytes") == sum(s.wire_bytes for s in per_rank)
